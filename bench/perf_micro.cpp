@@ -253,8 +253,8 @@ void BM_ScanThroughput(benchmark::State& state) {
 BENCHMARK(BM_ScanThroughput)->Unit(benchmark::kMillisecond);
 
 // --- infra cache -----------------------------------------------------------
-// The hot path of server selection: every candidate consults
-// expected_rtt_ms + held_down before a packet is spent, and every exchange
+// The hot path of server selection: every candidate's entry is looked up
+// (hold-down, EDNS verdict) before a packet is spent, and every exchange
 // reports back. Baselines live in bench/perf_baseline_infra.json.
 
 sim::NodeAddress pool_address(int i) {
@@ -295,7 +295,7 @@ void BM_InfraCacheSelect(benchmark::State& state) {
   std::size_t i = 0;
   for (auto _ : state) {
     const auto& addr = addrs[i++ % addrs.size()];
-    benchmark::DoNotOptimize(cache.expected_rtt_ms(addr));
+    benchmark::DoNotOptimize(cache.find(addr));
     benchmark::DoNotOptimize(cache.held_down(addr, 1'000'000));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(2 * state.iterations()));

@@ -92,7 +92,7 @@ int main(int argc, char** argv) {
   ede::scan::PopulationConfig config;
   std::size_t shards = 0;  // 0 = hardware_concurrency
   std::string json_path;
-  std::size_t inflight = 0;  // 0 = classic serial scan, latency model off
+  std::size_t inflight = 0;  // 0 = latency model off, serial batch
   parse_scan_args(argc, argv, config, shards, json_path, inflight);
 
   std::printf("generating population of %zu domains (seed %llu)...\n",

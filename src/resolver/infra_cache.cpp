@@ -36,8 +36,8 @@ void InfraCache::report_failure(const sim::NodeAddress& address,
   Entry& entry = entry_for(address);
   ++entry.failures;
   entry.last_failure = kind;
-  // Exponential RTT backoff so a flaky server sorts behind healthy ones
-  // even before it earns a hold-down.
+  // Exponential RTT backoff: a flaky server's SRTT shows it even before
+  // it earns a hold-down.
   entry.srtt_ms = entry.srtt_ms <= 0.0
                       ? options_.unknown_rtt_ms
                       : std::min(entry.srtt_ms * 2.0,
@@ -50,42 +50,47 @@ void InfraCache::report_failure(const sim::NodeAddress& address,
   }
 }
 
+void InfraCache::record_edns(Entry& entry, EdnsVerdict verdict,
+                             const ResolutionId& writer) {
+  // The first write of a batch freezes the value its siblings keep
+  // reading; later writes from the same batch only replace the latest.
+  if (entry.edns_writer < writer.batch_first) {
+    entry.edns_at_batch_start = entry.edns;
+  }
+  entry.edns = verdict;
+  entry.edns_writer = writer.self;
+}
+
 void InfraCache::report_edns_broken(const sim::NodeAddress& address,
                                     sim::SimTimeMs now_ms,
-                                    std::uint32_t ttl_ms) {
+                                    std::uint32_t ttl_ms,
+                                    const ResolutionId& writer) {
   if (!options_.enabled) return;
-  Entry& entry = entry_for(address);
-  entry.edns = EdnsCapability::PlainOnly;
-  entry.edns_retest_ms = now_ms + ttl_ms;
-  entry.edns_learned_ms = now_ms;
+  record_edns(entry_for(address),
+              {EdnsCapability::PlainOnly, now_ms + ttl_ms}, writer);
   ++stats_.edns_broken_learned;
 }
 
 void InfraCache::report_edns_ok(const sim::NodeAddress& address,
-                                sim::SimTimeMs now_ms) {
+                                const ResolutionId& writer) {
   if (!options_.enabled) return;
-  Entry& entry = entry_for(address);
-  entry.edns = EdnsCapability::Full;
-  entry.edns_retest_ms = 0;
-  entry.edns_learned_ms = now_ms;
+  record_edns(entry_for(address), {EdnsCapability::Full, 0}, writer);
 }
 
 InfraCache::EdnsCapability InfraCache::edns_capability(
     const sim::NodeAddress& address, sim::SimTimeMs now_ms,
-    bool epoch_guard) const {
+    const ResolutionId& reader) const {
   if (!options_.enabled) return EdnsCapability::Unknown;
   const auto* entry = find(address);
-  if (entry == nullptr || entry->edns == EdnsCapability::Unknown) {
-    return EdnsCapability::Unknown;
-  }
-  if (epoch_guard && entry->edns_learned_ms >= now_ms) {
-    return EdnsCapability::Unknown;
-  }
-  if (entry->edns == EdnsCapability::PlainOnly &&
-      entry->edns_retest_ms <= now_ms) {
+  if (entry == nullptr) return EdnsCapability::Unknown;
+  const EdnsVerdict& verdict = entry->edns_writer < reader.batch_first
+                                   ? entry->edns
+                                   : entry->edns_at_batch_start;
+  if (verdict.capability == EdnsCapability::PlainOnly &&
+      verdict.retest_ms <= now_ms) {
     return EdnsCapability::Unknown;  // verdict expired: re-probe with EDNS
   }
-  return entry->edns;
+  return verdict.capability;
 }
 
 const InfraCache::Entry* InfraCache::find(
@@ -99,11 +104,6 @@ bool InfraCache::held_down(const sim::NodeAddress& address,
   if (!options_.enabled) return false;
   const auto* entry = find(address);
   return entry != nullptr && entry->hold_until_ms > now_ms;
-}
-
-double InfraCache::expected_rtt_ms(const sim::NodeAddress& address) const {
-  const auto* entry = find(address);
-  return entry == nullptr ? 0.0 : entry->srtt_ms;
 }
 
 void InfraCache::clear() { entries_.clear(); }

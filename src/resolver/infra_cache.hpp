@@ -1,9 +1,11 @@
 // Infrastructure cache: the resolver's memory of nameserver *addresses*
 // (what Unbound calls the infra-cache and BIND keeps in its ADB). Tracks a
-// smoothed RTT per address (EWMA), counts consecutive timeouts, and holds
-// known-dead servers down for a calibrated window so repeated lame
-// delegations stop burning retransmissions — the paper's wild scan spends
-// most of its failure traffic on exactly these servers.
+// smoothed RTT per address (EWMA, reported in the infra summary; server
+// selection keeps the configured NS order), counts consecutive timeouts,
+// remembers EDNS capability verdicts, and holds known-dead servers down
+// for a calibrated window so repeated lame delegations stop burning
+// retransmissions — the paper's wild scan spends most of its failure
+// traffic on exactly these servers.
 #pragma once
 
 #include <cstdint>
@@ -13,6 +15,21 @@
 #include "simnet/clock.hpp"
 
 namespace ede::resolver {
+
+/// One resolution's identity under the batch-snapshot rule for learned
+/// state (DESIGN.md §5g): a resolution sees what earlier batches learned
+/// plus its own writes, and never a write from another resolution in its
+/// own batch. Ids are handed out in admission order and a batch records
+/// the first id it issued, so a write stamped `writer` comes from an
+/// earlier batch exactly when writer < batch_first.
+struct ResolutionId {
+  std::uint64_t self = 0;
+  std::uint64_t batch_first = 0;
+
+  [[nodiscard]] bool sees(std::uint64_t writer) const {
+    return writer < batch_first || writer == self;
+  }
+};
 
 class InfraCache {
  public:
@@ -46,6 +63,13 @@ class InfraCache {
   /// what BIND keeps as ADB EDNS flags and Unbound as infra edns_state.
   enum class EdnsCapability { Unknown, Full, PlainOnly };
 
+  struct EdnsVerdict {
+    EdnsCapability capability = EdnsCapability::Unknown;
+    /// A PlainOnly verdict expires (and the server is re-probed with
+    /// EDNS) at this sim-time.
+    sim::SimTimeMs retest_ms = 0;
+  };
+
   struct Entry {
     double srtt_ms = 0.0;
     int consecutive_timeouts = 0;
@@ -57,12 +81,12 @@ class InfraCache {
     // failure streak above: report_success clears that streak, but a
     // server that answers plain DNS promptly is healthy *and* EDNS-broken
     // at the same time, so the verdict must survive.
-    EdnsCapability edns = EdnsCapability::Unknown;
-    /// A PlainOnly verdict expires (and the server is re-probed with
-    /// EDNS) at this sim-time.
-    sim::SimTimeMs edns_retest_ms = 0;
-    /// When the verdict was recorded — the epoch guard for engine jobs.
-    sim::SimTimeMs edns_learned_ms = 0;
+    EdnsVerdict edns;
+    /// The resolution that wrote `edns`, and the verdict as it stood when
+    /// that resolution's batch began: what the writer's batch siblings
+    /// keep reading (the verdict is overwritten in place).
+    std::uint64_t edns_writer = 0;
+    EdnsVerdict edns_at_batch_start;
   };
 
   struct Stats {
@@ -83,8 +107,7 @@ class InfraCache {
   void report_success(const sim::NodeAddress& address, std::uint32_t rtt_ms);
 
   /// The address timed out or was unroutable at `now_ms`. Timeouts count
-  /// toward the hold-down streak; both back the smoothed RTT off so the
-  /// address sorts behind responsive ones.
+  /// toward the hold-down streak; both back the smoothed RTT off.
   void report_failure(const sim::NodeAddress& address, FailureKind kind,
                       sim::SimTimeMs now_ms);
 
@@ -92,31 +115,28 @@ class InfraCache {
   /// or it exhausted the vendor's EDNS timeout quota): remember it as
   /// plain-DNS-only until `now_ms + ttl_ms`, after which the verdict
   /// expires and the next resolution re-probes with EDNS.
+  /// `writer` is the resolution that learned it.
   void report_edns_broken(const sim::NodeAddress& address,
-                          sim::SimTimeMs now_ms, std::uint32_t ttl_ms);
+                          sim::SimTimeMs now_ms, std::uint32_t ttl_ms,
+                          const ResolutionId& writer);
 
   /// The address answered an EDNS query with a well-formed OPT.
-  void report_edns_ok(const sim::NodeAddress& address, sim::SimTimeMs now_ms);
+  void report_edns_ok(const sim::NodeAddress& address,
+                      const ResolutionId& writer);
 
-  /// The learned capability at `now_ms`. A PlainOnly verdict past its
-  /// re-probe deadline reads as Unknown (hold-down expiry triggers the
-  /// re-probe). With `epoch_guard`, verdicts recorded at or after
-  /// `now_ms` also read as Unknown: engine jobs rebase the clock, and a
-  /// verdict from a concurrent job's future must not leak into this
-  /// job's past (the DenialRange::born rule).
-  [[nodiscard]] EdnsCapability edns_capability(const sim::NodeAddress& address,
-                                              sim::SimTimeMs now_ms,
-                                              bool epoch_guard = false) const;
+  /// The capability `reader` may see at `now_ms`: the latest verdict if an
+  /// earlier batch wrote it, else the verdict as it stood when the
+  /// reader's batch began. A resolution's own PlainOnly verdicts are its
+  /// context's business (ResolutionContext::edns_self_plain). A PlainOnly
+  /// verdict past its re-probe deadline reads as Unknown (hold-down
+  /// expiry triggers the re-probe).
+  [[nodiscard]] EdnsCapability edns_capability(
+      const sim::NodeAddress& address, sim::SimTimeMs now_ms,
+      const ResolutionId& reader) const;
 
   [[nodiscard]] const Entry* find(const sim::NodeAddress& address) const;
   [[nodiscard]] bool held_down(const sim::NodeAddress& address,
                                sim::SimTimeMs now_ms) const;
-
-  /// Ranking key for server selection. Unknown servers rank at 0 — the
-  /// BIND-style optimistic default that makes the resolver try new
-  /// servers ahead of ones with a measured (or backed-off) RTT, and keeps
-  /// configured NS order stable until real measurements disagree.
-  [[nodiscard]] double expected_rtt_ms(const sim::NodeAddress& address) const;
 
   void note_skip() { ++stats_.holddown_skips; }
 
@@ -133,6 +153,8 @@ class InfraCache {
 
  private:
   Entry& entry_for(const sim::NodeAddress& address);
+  static void record_edns(Entry& entry, EdnsVerdict verdict,
+                          const ResolutionId& writer);
 
   Options options_;
   EntryMap entries_;

@@ -192,32 +192,18 @@ sim::Task<RecursiveResolver::QueryResult> RecursiveResolver::query_servers(
 sim::Task<RecursiveResolver::QueryResult>
 RecursiveResolver::query_servers_uncoalesced(
     ResolutionContext& ctx, dns::Name zone,
-    const std::vector<sim::NodeAddress>& servers, dns::Name qname,
+    std::vector<sim::NodeAddress> servers, dns::Name qname,
     dns::RRType qtype) {
   QueryResult result;
   const std::string query_desc =
       qname.to_string() + " " + dns::to_string(qtype);
 
-  // Prefer servers with the lowest smoothed RTT — but only when the
-  // latency model is producing real measurements. On the instantaneous
-  // transport every reply measures 0 ms, so sorting would merely demote
-  // servers with a backed-off (failure-inflated) SRTT and silently skip
-  // the dead-server probes whose ServerTimeout findings the diagnosis
-  // (and the paper's Table 4) depends on. stable_sort keeps configured
-  // NS order among ties, so unknown servers (SRTT 0) stay put. The batch
-  // engine turns srtt_reorder off entirely (see ResolutionContext).
-  std::vector<sim::NodeAddress> candidates = servers;
-  if (ctx.srtt_reorder && infra_.options().enabled &&
-      network_->latency().enabled) {
-    std::stable_sort(candidates.begin(), candidates.end(),
-                     [&](const sim::NodeAddress& a, const sim::NodeAddress& b) {
-                       return infra_.expected_rtt_ms(a) <
-                              infra_.expected_rtt_ms(b);
-                     });
-  }
-
+  // Servers are probed in configured NS order. Sorting by SRTT would
+  // demote dead servers with a backed-off SRTT and skip the probes whose
+  // ServerTimeout findings the diagnosis (and the paper's Table 4)
+  // depends on.
   std::optional<dns::Message> first_response;
-  for (const auto& server : candidates) {
+  for (const auto& server : servers) {
     if (infra_.held_down(server, network_->clock().now_ms())) {
       infra_.note_skip();
       const auto* entry = infra_.find(server);
@@ -250,11 +236,9 @@ RecursiveResolver::query_servers_uncoalesced(
     bool plain_probe_counted = false;
     int edns_timeouts = 0;
     // A verdict this resolution earned itself (ctx.edns_self_plain) is
-    // always visible — the epoch guard only hides what concurrent batch
-    // siblings wrote to the shared InfraCache.
+    // always visible; the InfraCache shows what earlier batches learned.
     if (ctx.edns_self_plain.contains(server) ||
-        infra_.edns_capability(server, network_->clock().now_ms(),
-                               ctx.epoch_guard) ==
+        infra_.edns_capability(server, network_->clock().now_ms(), ctx.id) ==
             InfraCache::EdnsCapability::PlainOnly) {
       use_edns = false;
       edns_downgraded = true;
@@ -334,7 +318,8 @@ RecursiveResolver::query_servers_uncoalesced(
           edns_downgraded = true;
           ctx.edns_self_plain.insert(server);
           infra_.report_edns_broken(server, network_->clock().now_ms(),
-                                    profile_.edns_dance.capability_ttl_ms);
+                                    profile_.edns_dance.capability_ttl_ms,
+                                    ctx.id);
         }
         timeout_ms = retry_.next_timeout(timeout_ms);
         ++attempt;
@@ -435,7 +420,7 @@ RecursiveResolver::query_servers_uncoalesced(
           edns_downgraded = true;
           ctx.edns_self_plain.insert(server);
           infra_.report_edns_broken(server, network_->clock().now_ms(),
-                                    dance.capability_ttl_ms);
+                                    dance.capability_ttl_ms, ctx.id);
           continue;
         }
       }
@@ -529,9 +514,9 @@ RecursiveResolver::query_servers_uncoalesced(
                   server.to_string() + ":53 ignored EDNS for " + query_desc);
       ctx.edns_self_plain.insert(server);
       infra_.report_edns_broken(server, network_->clock().now_ms(),
-                                profile_.edns_dance.capability_ttl_ms);
+                                profile_.edns_dance.capability_ttl_ms, ctx.id);
     } else if (use_edns) {
-      infra_.report_edns_ok(server, network_->clock().now_ms());
+      infra_.report_edns_ok(server, ctx.id);
     } else {
       // Degraded success: the dance (or the capability memory) got an
       // answer out of an EDNS-broken server over plain DNS. No OPT means
@@ -546,7 +531,7 @@ RecursiveResolver::query_servers_uncoalesced(
       ++hardening_.edns_degraded_success;
       ctx.edns_self_plain.insert(server);
       infra_.report_edns_broken(server, network_->clock().now_ms(),
-                                profile_.edns_dance.capability_ttl_ms);
+                                profile_.edns_dance.capability_ttl_ms, ctx.id);
     }
 
     // Remember an advertised RFC 9567 reporting agent.
@@ -590,8 +575,7 @@ sim::Task<std::optional<dns::Message>> RecursiveResolver::query_over_stream(
     // way BIND's ADB "noedns" flag does. A signed zone behind such a
     // server is unvalidatable by design — no DO bit, no RRSIGs.
     if (!ctx.edns_self_plain.contains(server) &&
-        infra_.edns_capability(server, network_->clock().now_ms(),
-                               ctx.epoch_guard) !=
+        infra_.edns_capability(server, network_->clock().now_ms(), ctx.id) !=
             InfraCache::EdnsCapability::PlainOnly) {
       edns::Edns edns;
       edns.dnssec_ok = true;
@@ -792,23 +776,17 @@ sim::Task<Outcome> RecursiveResolver::resolve_flow(ResolutionContext& ctx,
 }
 
 Outcome RecursiveResolver::resolve(const dns::Name& qname, dns::RRType qtype) {
-  // Drive the coroutine pipeline alone on a private scheduler: every park
-  // resumes immediately at its own wake time (which, with time moving
-  // monotonically, is exactly what the old blocking wait_ms did), so this
-  // path is bit-for-bit the classic blocking resolve.
-  sim::EventScheduler sched(network_->clock());
-  ResolutionContext ctx;
-  ctx.sched = &sched;
-  auto task = resolve_flow(ctx, qname, qtype);
-  task.start();
-  while (!task.done() && sched.run_one()) {
-  }
-  return task.take();
+  Outcome result;
+  (void)resolve_many({{qname, qtype}}, 1,
+                     [&result](std::size_t, Outcome&& outcome) {
+                       result = std::move(outcome);
+                     });
+  return result;
 }
 
 sim::Task<void> RecursiveResolver::run_job(
-    sim::EventScheduler& sched, dns::Name qname, dns::RRType qtype,
-    bool refresh, std::function<void(sim::SimTimeMs, Outcome&&)> record) {
+    sim::EventScheduler& sched, ResolveJob job, ResolutionId id,
+    std::function<void(sim::SimTimeMs, Outcome&&)> record) {
   // The context lives in this wrapper's own frame: child coroutines hold
   // a reference to it across suspensions, so it needs a stable address
   // for the resolution's whole lifetime (a container slot would move).
@@ -817,11 +795,10 @@ sim::Task<void> RecursiveResolver::run_job(
   // these top-level frames are held in resolve_many's slots until join.
   ResolutionContext ctx;
   ctx.sched = &sched;
-  ctx.srtt_reorder = false;  // see ResolutionContext
-  ctx.refresh = refresh;
-  ctx.epoch_guard = true;  // see ResolutionContext
+  ctx.id = id;
+  ctx.refresh = job.refresh;
   const sim::SimTimeMs started_ms = network_->clock().now_ms();
-  Outcome outcome = co_await resolve_flow(ctx, std::move(qname), qtype);
+  Outcome outcome = co_await resolve_flow(ctx, std::move(job.qname), job.qtype);
   record(network_->clock().now_ms() - started_ms, std::move(outcome));
 }
 
@@ -836,6 +813,7 @@ EngineReport RecursiveResolver::resolve_many(
 
   sim::EventScheduler sched(network_->clock());
   const sim::SimTimeMs epoch = network_->clock().now_ms();
+  const std::uint64_t batch_first = next_resolution_id_;
 
   // Admission-slot model: `window` slots, each chaining resolutions
   // back-to-back on its own virtual timeline starting at the batch epoch.
@@ -871,7 +849,7 @@ EngineReport RecursiveResolver::resolve_many(
   const auto admit = [&](std::size_t slot, std::size_t index) {
     network_->clock().set_ms(epoch);  // rebase this resolution's timeline
     slots[slot] = run_job(
-        sched, jobs[index].qname, jobs[index].qtype, jobs[index].refresh,
+        sched, jobs[index], {next_resolution_id_++, batch_first},
         [&completions, slot, index](sim::SimTimeMs duration_ms,
                                     Outcome&& outcome) {
           completions.push_back(
@@ -1010,14 +988,15 @@ sim::Task<Outcome> RecursiveResolver::resolve_internal(ResolutionContext& ctx,
                                      : dns::RCode::NOERROR,
                        neg->security);
     }
-    if (options_.aggressive_nsec_caching) {
-      for (const auto& [zone, ranges] : denial_cache_) {
-        if (!qname.is_subdomain_of(zone)) continue;
+    if (options_.aggressive_nsec_caching && !denial_cache_.empty()) {
+      // Walk qname's cached ancestor zones root first (the canonical map
+      // order) and use the live proofs this resolution may see.
+      for (std::size_t labels = 0; labels <= qname.label_count(); ++labels) {
+        const auto cached = denial_cache_.find(qname.suffix(labels));
+        if (cached == denial_cache_.end()) continue;
+        const auto& [zone, ranges] = *cached;
         for (const auto& range : ranges) {
-          if (range.expires < now) continue;
-          // Batch engine: only proofs from an earlier epoch (see
-          // ResolutionContext::epoch_guard).
-          if (ctx.epoch_guard && range.born >= now) continue;
+          if (range.expires < now || !ctx.id.sees(range.writer)) continue;
           bool nxdomain = false;
           bool nodata = false;
           if (range.nsec3) {
@@ -1339,7 +1318,7 @@ sim::Task<Outcome> RecursiveResolver::resolve_internal(ResolutionContext& ctx,
             range.salt = n3->salt;
             range.iterations = n3->iterations;
             range.types = n3->types;
-            range.born = now;
+            range.writer = ctx.id.self;
             range.expires = proof_expires;
             ranges.push_back(std::move(range));
           } else if (const auto* ns = std::get_if<dns::NsecRdata>(&rr.rdata)) {
@@ -1353,7 +1332,7 @@ sim::Task<Outcome> RecursiveResolver::resolve_internal(ResolutionContext& ctx,
             range.owner = rr.name;
             range.next = ns->next_domain;
             range.types = ns->types;
-            range.born = now;
+            range.writer = ctx.id.self;
             range.expires = proof_expires;
             ranges.push_back(std::move(range));
           }

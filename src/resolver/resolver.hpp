@@ -229,32 +229,28 @@ class RecursiveResolver {
                     dns::DnskeyRdata trust_anchor,
                     ResolverOptions options = {});
 
-  /// Resolve and annotate. The returned response carries the EDE options
-  /// this resolver's vendor profile emits for the observed findings.
-  ///
-  /// Internally the resolution is a coroutine parked on a private event
-  /// scheduler; driving it alone to completion replays exactly the
-  /// blocking behaviour this method always had (every park advances the
-  /// clock just like the old wait_ms calls did).
+  /// Resolve and annotate: resolve_many() with one job. The returned
+  /// response carries the EDE options this resolver's vendor profile
+  /// emits for the observed findings, and the clock advances by the
+  /// resolution's virtual duration.
   [[nodiscard]] Outcome resolve(const dns::Name& qname, dns::RRType qtype);
 
   /// Resolve a batch with up to `inflight` resolutions multiplexed over
   /// one event scheduler and the shared record/infra/SERVFAIL caches (the
-  /// ZDNS shape: thousands of lightweight routines, one worker).
+  /// ZDNS shape: thousands of lightweight routines, one worker). This is
+  /// the resolver's only way to resolve a name.
   ///
   /// Every resolution's virtual timeline is rebased to the batch epoch
   /// (the clock at call time): TTLs, serve-stale windows, hold-downs and
   /// signature validity see the same "now" a serial run of the same batch
-  /// would show them, which is what makes per-domain outcomes invariant
-  /// under `inflight` (the fixed-seed equivalence suite pins this).
-  /// `on_done(job_index, outcome)` fires as each resolution completes, in
-  /// completion order. On return the clock sits at epoch + makespan.
-  ///
-  /// Engine-mode resolutions keep the configured nameserver order instead
-  /// of the SRTT sort (probe order must not depend on what other
-  /// in-flight resolutions learned first); everything else — retry,
-  /// backoff, coalescing, scrubbing, SERVFAIL caching, DoTCP fallback,
-  /// EDE semantics — is the very same coroutine resolve() drives.
+  /// would show them. Learned state that changes outcomes — InfraCache
+  /// EDNS verdicts and RFC 8198 denial proofs — follows the batch-snapshot
+  /// rule (see ResolutionId): each resolution sees what earlier batches
+  /// learned plus its own writes, never a sibling's. Together these make
+  /// per-domain outcomes invariant under `inflight` (the fixed-seed
+  /// equivalence suite pins this). `on_done(job_index, outcome)` fires as
+  /// each resolution completes, in completion order. On return the clock
+  /// sits at epoch + makespan.
   EngineReport resolve_many(
       const std::vector<ResolveJob>& jobs, std::size_t inflight,
       const std::function<void(std::size_t, Outcome&&)>& on_done);
@@ -325,29 +321,17 @@ class RecursiveResolver {
   /// in flight over one resolver (the caches stay shared; this does not).
   struct ResolutionContext {
     sim::EventScheduler* sched = nullptr;
+    /// Who this resolution is under the batch-snapshot rule.
+    ResolutionId id;
     Budget budget;
     std::map<CoalesceKey, QueryResult> coalesced;
-    /// Classic resolutions prefer servers with the lowest SRTT (see
-    /// query_servers_uncoalesced). Batch-engine resolutions keep the
-    /// configured NS order instead: the SRTT table is shared, so probe
-    /// order — and with it the per-server findings the diagnosis emits —
-    /// must not depend on what other in-flight resolutions learned first.
-    bool srtt_reorder = true;
     /// ResolveJob::refresh for this resolution (prefetch re-fetch).
     bool refresh = false;
-    /// Batch-engine resolutions only synthesize from denial proofs
-    /// captured in an earlier epoch (DenialRange::born < this job's
-    /// rebased "now"). Proofs captured by a sibling job in the same batch
-    /// are visible or not depending on scheduler interleaving — i.e. on
-    /// the inflight width — so using them would break the window-
-    /// invariance guarantee. Classic resolve() keeps the eager behavior.
-    bool epoch_guard = false;
-    /// Servers THIS resolution learned as plain-DNS-only. The epoch guard
-    /// hides same-instant InfraCache writes, but a verdict this very
-    /// resolution earned (say, on its DNSKEY sub-query) must shape its
-    /// own later queries in both engines — an A query fired in the same
-    /// virtual millisecond still has to skip the dance, exactly like the
-    /// sequential classic loop would.
+    /// Servers THIS resolution learned as plain-DNS-only: the rule's one
+    /// own-write overlay. The InfraCache verdict is overwritten in place,
+    /// so a sibling's later write would otherwise hide a verdict this
+    /// resolution earned (say, on its DNSKEY sub-query) from its own
+    /// later queries.
     std::set<sim::NodeAddress> edns_self_plain;
   };
 
@@ -370,20 +354,21 @@ class RecursiveResolver {
   /// suspensions, so it needs a stable address) and reports the finished
   /// outcome plus the resolution's virtual duration through `record`.
   [[nodiscard]] sim::Task<void> run_job(
-      sim::EventScheduler& sched, dns::Name qname, dns::RRType qtype,
-      bool refresh, std::function<void(sim::SimTimeMs, Outcome&&)> record);
+      sim::EventScheduler& sched, ResolveJob job, ResolutionId id,
+      std::function<void(sim::SimTimeMs, Outcome&&)> record);
 
   /// Probe `servers` (authoritative for `zone`) for qname/qtype. `zone` is
   /// the bailiwick the scrubber enforces on whatever comes back, and part
-  /// of the coalescing key. Name parameters ride by value: a coroutine
-  /// frame must not hold references into a caller temporary.
+  /// of the coalescing key. Name parameters, and the server list the probe
+  /// loop walks across suspensions, ride by value: a coroutine frame must
+  /// not hold references into a caller temporary.
   [[nodiscard]] sim::Task<QueryResult> query_servers(
       ResolutionContext& ctx, dns::Name zone,
       const std::vector<sim::NodeAddress>& servers, dns::Name qname,
       dns::RRType qtype);
   [[nodiscard]] sim::Task<QueryResult> query_servers_uncoalesced(
       ResolutionContext& ctx, dns::Name zone,
-      const std::vector<sim::NodeAddress>& servers, dns::Name qname,
+      std::vector<sim::NodeAddress> servers, dns::Name qname,
       dns::RRType qtype);
 
   [[nodiscard]] sim::Task<Outcome> resolve_internal(ResolutionContext& ctx,
@@ -424,6 +409,9 @@ class RecursiveResolver {
   std::optional<std::vector<dns::DnskeyRdata>> root_keys_;
   bool root_trust_ok_ = false;
   std::uint16_t next_id_ = 1;
+  /// Next ResolutionId::self, handed out in admission order. Starts at 1
+  /// so state nobody wrote yet (writer 0) reads as an earlier batch's.
+  std::uint64_t next_resolution_id_ = 1;
   HardeningStats hardening_;
 
   /// Reused query-serialization scratch. The view handed to
@@ -469,9 +457,8 @@ class RecursiveResolver {
     dns::Name next;
     /// Types present at the owner, for exact-match NODATA synthesis.
     dns::TypeBitmap types;
-    /// When the proof was captured (the capturing resolution's rebased
-    /// epoch, in whole seconds) — see ResolutionContext::epoch_guard.
-    sim::SimTime born = 0;
+    /// The resolution that captured the proof (ResolutionId::sees).
+    std::uint64_t writer = 0;
     /// SOA-bounded proof lifetime (min(SOA minimum, record TTL) past the
     /// capture epoch, like any RFC 2308 negative entry). Synthesized
     /// negative answers inherit this bound, never a longer one.

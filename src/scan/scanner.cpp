@@ -1,6 +1,7 @@
 #include "scan/scanner.hpp"
 
 #include <algorithm>
+#include <map>
 
 #include "edns/ede.hpp"
 #include "resolver/resolver.hpp"
@@ -62,10 +63,10 @@ ScanResult Scanner::run(resolver::RecursiveResolver& resolver,
   const auto sim_before = resolver.network().clock().now_ms();
   const auto start = std::chrono::steady_clock::now();
 
-  // Per-domain aggregation, shared by the serial and async-engine paths.
-  // Folding happens in population (index) order on both paths — that
-  // order decides which extra-text samples survive the per-code cap and
-  // the tranco_hits sequence, so it must not depend on completion order.
+  // Per-domain aggregation. Folding happens in population (index) order —
+  // that order decides which extra-text samples survive the per-code cap
+  // and the tranco_hits sequence, so it must not depend on completion
+  // order.
   const auto fold = [&](const DomainSpec& domain, dns::RCode rcode,
                         const std::vector<edns::ExtendedError>& errors,
                         int upstream_queries) {
@@ -101,48 +102,43 @@ ScanResult Scanner::run(resolver::RecursiveResolver& resolver,
   };
 
   // First index in [begin, end) on the global stride grid.
-  std::size_t i = begin;
+  std::size_t first = begin;
   if (const auto offset = begin % options_.stride; offset != 0)
-    i = begin + (options_.stride - offset);
+    first = begin + (options_.stride - offset);
 
-  if (options_.inflight == 0) {
-    result.max_in_flight = 1;
-    for (; i < end; i += options_.stride) {
-      const auto& domain = population.domains[i];
-      const auto outcome =
-          resolver.resolve(dns::Name::of(domain.fqdn), dns::RRType::A);
-      fold(domain, outcome.rcode, outcome.errors, outcome.upstream_queries);
-    }
-  } else {
-    // Async engine: queue every domain of this shard, let resolve_many
-    // multiplex up to `inflight` of them over one scheduler, and keep only
-    // what fold needs per outcome (the full Outcome carries response
-    // messages and traces — far too heavy to hold for 100k+ domains).
-    struct LiteOutcome {
-      dns::RCode rcode = dns::RCode::SERVFAIL;
-      std::vector<edns::ExtendedError> errors;
-      int upstream_queries = 0;
-    };
-    std::vector<resolver::ResolveJob> jobs;
-    std::vector<std::size_t> population_index;
-    for (; i < end; i += options_.stride) {
-      jobs.push_back({dns::Name::of(population.domains[i].fqdn),
-                      dns::RRType::A});
-      population_index.push_back(i);
-    }
-    std::vector<LiteOutcome> outcomes(jobs.size());
-    const auto engine = resolver.resolve_many(
-        jobs, options_.inflight,
-        [&outcomes](std::size_t job, resolver::Outcome&& outcome) {
-          outcomes[job] = {outcome.rcode, std::move(outcome.errors),
-                           outcome.upstream_queries};
-        });
-    result.max_in_flight = engine.max_in_flight;
-    for (std::size_t job = 0; job < outcomes.size(); ++job) {
-      fold(population.domains[population_index[job]], outcomes[job].rcode,
-           outcomes[job].errors, outcomes[job].upstream_queries);
-    }
+  // Queue every domain of this shard and let resolve_many multiplex up to
+  // `inflight` of them over one scheduler. Outcomes arrive in completion
+  // order, so each waits in `pending` until every earlier domain has
+  // folded, holding only what fold needs (the full Outcome carries
+  // response messages and traces).
+  struct LiteOutcome {
+    dns::RCode rcode = dns::RCode::SERVFAIL;
+    std::vector<edns::ExtendedError> errors;
+    int upstream_queries = 0;
+  };
+  std::vector<resolver::ResolveJob> jobs;
+  if (first < end) jobs.reserve((end - first - 1) / options_.stride + 1);
+  for (std::size_t i = first; i < end; i += options_.stride) {
+    jobs.push_back({dns::Name::of(population.domains[i].fqdn),
+                    dns::RRType::A});
   }
+  std::map<std::size_t, LiteOutcome> pending;
+  std::size_t next_fold = 0;
+  const auto engine = resolver.resolve_many(
+      jobs, options_.inflight,
+      [&](std::size_t job, resolver::Outcome&& outcome) {
+        pending.emplace(job, LiteOutcome{outcome.rcode,
+                                         std::move(outcome.errors),
+                                         outcome.upstream_queries});
+        for (auto it = pending.begin();
+             it != pending.end() && it->first == next_fold;
+             it = pending.erase(it), ++next_fold) {
+          fold(population.domains[first + next_fold * options_.stride],
+               it->second.rcode, it->second.errors,
+               it->second.upstream_queries);
+        }
+      });
+  result.max_in_flight = engine.max_in_flight;
   const auto end_time = std::chrono::steady_clock::now();
   result.wall_seconds =
       std::chrono::duration<double>(end_time - start).count();

@@ -89,12 +89,11 @@ struct ScanResult {
   double wall_seconds = 0.0;
   /// Simulated-clock elapsed time — deterministic under the sim network
   /// (zero with the latency model off); what reproducibility tests use.
-  /// Under the async engine this is the batch makespan, not the serial sum.
+  /// It is the batch makespan, which is the serial sum only at inflight 1.
   double sim_seconds = 0.0;
-  /// High-water mark of concurrently in-flight resolutions (1 on the
-  /// classic serial path). A load observation like wall_seconds — merge
-  /// takes the max, and it is excluded from shard/inflight-equivalence
-  /// comparisons.
+  /// High-water mark of concurrently in-flight resolutions (1 at
+  /// inflight 1). A load observation like wall_seconds — merge takes the
+  /// max, and it is excluded from shard/inflight-equivalence comparisons.
   std::size_t max_in_flight = 0;
   /// Cap on sample_extra_text per code, carried so merge can re-apply it.
   std::size_t sample_cap = 3;
@@ -120,23 +119,19 @@ class Scanner {
     /// Scan only every Nth domain (quick smoke runs); 1 = everything.
     /// Clamped to >= 1 (a zero stride used to loop forever).
     std::size_t stride = 1;
-    /// Resolutions multiplexed over the resolver's event scheduler
-    /// (RecursiveResolver::resolve_many). 0 = classic blocking resolve()
-    /// per domain (the clock accumulates across domains). >= 1 routes
-    /// through the engine, where every resolution's timeline is rebased
-    /// to the batch epoch — so 1 is the *serial baseline of the engine's
-    /// timeline model*, and aggregates are invariant in N at a fixed
-    /// seed (outcomes fold in population order either way); only
-    /// sim_seconds (makespan vs serial sum) and max_in_flight change.
-    /// The classic path's cumulative clock can legitimately diverge from
-    /// the engine (e.g. a prewarmed 30 s SERVFAIL-cache entry expires
-    /// mid-scan serially but never at the epoch), which is why the
-    /// equivalence contract is stated over the engine family only.
-    std::size_t inflight = 0;
+    /// Resolutions multiplexed over the resolver's event scheduler: the
+    /// shard is one RecursiveResolver::resolve_many batch, so every
+    /// resolution's timeline is rebased to the batch epoch and sees only
+    /// what earlier batches learned plus its own writes. 1 is the serial
+    /// baseline, and aggregates are invariant in N at a fixed seed
+    /// (outcomes fold in population order either way); only sim_seconds
+    /// (makespan vs serial sum) and max_in_flight change. Clamped to >= 1.
+    std::size_t inflight = 1;
   };
 
   explicit Scanner(Options options) : options_(options) {
     if (options_.stride == 0) options_.stride = 1;
+    if (options_.inflight == 0) options_.inflight = 1;
   }
   Scanner() : Scanner(Options{}) {}
 

@@ -117,7 +117,7 @@ class FrontEnd {
   std::vector<ClientAnswer> serve(const StubTrace& trace);
 
   /// Simnet endpoint plumbing: attach at `address` and answer one-shot
-  /// RD=1 wire queries via the blocking resolve() path, with the full
+  /// RD=1 wire queries through resolve() (a one-job batch), with the full
   /// EDE-annotated response message on the wire. Lets other simulated
   /// nodes use this front end as their recursive.
   void attach(const sim::NodeAddress& address);

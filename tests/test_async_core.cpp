@@ -1,8 +1,8 @@
 // Async resolver-core tests: the event scheduler and Task primitives,
-// the resolve()/resolve_many() equivalence contracts (classic blocking
-// vs engine-at-1 vs engine-at-N on the testbed and the scan world), the
-// admission-window/lane accounting of EngineReport, the coalescing-key
-// server-set regression and the retry-backoff clamp.
+// the batch-equivalence contracts (one-job batches vs one wide batch,
+// window 1 vs window N, on the testbed), the admission-window/lane
+// accounting of EngineReport, the coalescing-key server-set regression
+// and the retry-backoff clamp.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -216,7 +216,7 @@ TEST(CoalesceKey, ServerSetIsPartOfTheKey) {
 }
 
 // ---------------------------------------------------------------------
-// resolve() vs resolve_many() on the testbed (per-case EDE equivalence)
+// Batch shapes on the testbed (per-case EDE equivalence)
 // ---------------------------------------------------------------------
 
 struct CaseOutcome {
@@ -236,11 +236,14 @@ CaseOutcome lite(const Outcome& outcome) {
   return out;
 }
 
-TEST(AsyncCore, TestbedCasesMatchClassicResolveExactly) {
+TEST(AsyncCore, OneJobBatchesMatchOneWideBatch) {
   // Two identical worlds (separate networks, same construction), one
-  // driven case-by-case through classic resolve(), the other as one
-  // resolve_many() batch across every case. Latency stays off, exactly
-  // like the classic testbed suites, so the comparison is bit-for-bit.
+  // driven case-by-case through resolve() — a one-job batch per case,
+  // each seeing everything the earlier cases learned — the other as one
+  // resolve_many() batch across every case, where siblings see none of
+  // each other's learned state. Per-case outcomes must not depend on
+  // which of the two the batch-snapshot rule applied. Latency stays off,
+  // like the other testbed suites, so the comparison is bit-for-bit.
   auto network_a = std::make_shared<sim::Network>(
       std::make_shared<sim::Clock>(), 42);
   auto network_b = std::make_shared<sim::Network>(
@@ -250,10 +253,10 @@ TEST(AsyncCore, TestbedCasesMatchClassicResolveExactly) {
   auto resolver_a = bed_a.make_resolver(profile_bind());
   auto resolver_b = bed_b.make_resolver(profile_bind());
 
-  std::vector<CaseOutcome> classic;
+  std::vector<CaseOutcome> one_job;
   std::vector<ResolveJob> jobs;
   for (const auto& spec : bed_a.cases()) {
-    classic.push_back(
+    one_job.push_back(
         lite(resolver_a.resolve(bed_a.query_name(spec), dns::RRType::A)));
     jobs.push_back({bed_b.query_name(spec), dns::RRType::A});
   }
@@ -263,9 +266,9 @@ TEST(AsyncCore, TestbedCasesMatchClassicResolveExactly) {
       jobs, jobs.size(), [&batched](std::size_t index, Outcome&& outcome) {
         batched[index] = lite(outcome);
       });
-  ASSERT_EQ(batched.size(), classic.size());
-  for (std::size_t i = 0; i < classic.size(); ++i) {
-    EXPECT_EQ(classic[i], batched[i]) << "case " << i << " ("
+  ASSERT_EQ(batched.size(), one_job.size());
+  for (std::size_t i = 0; i < one_job.size(); ++i) {
+    EXPECT_EQ(one_job[i], batched[i]) << "case " << i << " ("
         << bed_a.cases()[i].label << ")";
   }
   EXPECT_GE(report.max_in_flight, 1u);
@@ -276,8 +279,8 @@ TEST(AsyncCore, TestbedCasesMatchClassicResolveExactly) {
 }
 
 TEST(AsyncCore, EngineWindowOneMatchesEngineWindowWide) {
-  // Within the engine family (every resolution epoch-rebased), the
-  // admission window must not change any outcome — with latency ON.
+  // Every resolution is epoch-rebased, so the admission window must not
+  // change any outcome — with latency ON.
   sim::LatencyModel latency;
   latency.enabled = true;
 

@@ -9,7 +9,9 @@
 #include <algorithm>
 #include <memory>
 
+#include "resolver/infra_cache.hpp"
 #include "resolver/resolver.hpp"
+#include "simnet/address.hpp"
 #include "testbed/expected.hpp"
 #include "testbed/testbed.hpp"
 
@@ -153,15 +155,27 @@ TEST(EdnsZoo, CapabilityMemorySplitsTheVendors) {
 // Signal-driven fallback (FORMERR) is a free in-resolution retry: the
 // plain probe is counted, the rejection is counted, and the verdict is
 // remembered even by the post-flag-day vendors (the flag day removed only
-// the timeout-driven downgrade).
+// the timeout-driven downgrade). Each contact is its own one-job batch,
+// and with latency off both start at the same virtual instant: the
+// second still reads the verdict, because the batch-snapshot rule
+// (DESIGN.md §5g) shows a resolution everything earlier batches learned.
 TEST(EdnsZoo, FormerrDanceIsCountedAndRemembered) {
   auto& w = world();
   const auto& spec = spec_of(w, "edns-formerr");
   const auto qname = w.testbed.edns_query_name(spec);
 
   auto resolver = w.testbed.make_resolver(ede::resolver::profile_bind());
-  const auto first =
-      resolver.resolve(qname, Testbed::edns_qtype(spec, false));
+  const auto contact = [&](bool second) {
+    ede::resolver::Outcome outcome;
+    (void)resolver.resolve_many(
+        {{qname, Testbed::edns_qtype(spec, second)}}, 1,
+        [&outcome](std::size_t, ede::resolver::Outcome&& done) {
+          outcome = std::move(done);
+        });
+    return outcome;
+  };
+  const auto epoch = w.clock->now_ms();
+  const auto first = contact(false);
   EXPECT_EQ(first.rcode, ede::dns::RCode::NOERROR);
   const HardeningStats mid = resolver.hardening_stats();
   EXPECT_GE(mid.edns_formerr_seen, 1u);
@@ -169,9 +183,9 @@ TEST(EdnsZoo, FormerrDanceIsCountedAndRemembered) {
   EXPECT_GE(mid.edns_degraded_success, 1u);
   EXPECT_EQ(mid.edns_capability_skips, 0u);
 
-  const auto second =
-      resolver.resolve(qname, Testbed::edns_qtype(spec, true));
+  const auto second = contact(true);
   EXPECT_EQ(second.rcode, ede::dns::RCode::NOERROR);
+  EXPECT_EQ(w.clock->now_ms(), epoch);
   const HardeningStats after = resolver.hardening_stats();
   EXPECT_GE(after.edns_capability_skips, 1u);
   // No new rejection: the second contact never wasted an OPT.
@@ -207,6 +221,57 @@ TEST(EdnsZoo, CapabilityExpiryTriggersReprobe) {
   EXPECT_EQ(reprobe.rcode, ede::dns::RCode::SERVFAIL);
   EXPECT_EQ(resolver.hardening_stats().edns_capability_skips, skips);
   EXPECT_GT(resolver.infra().stats().edns_broken_learned, learned);
+}
+
+// The other half of the batch-snapshot rule: a verdict written by a
+// sibling in the same batch stays hidden, whatever the window.
+TEST(EdnsZoo, SiblingVerdictIsHiddenAtAnyWindow) {
+  auto& w = world();
+  const auto& spec = spec_of(w, "edns-formerr");
+  const auto qname = w.testbed.edns_query_name(spec);
+  for (const std::size_t window : {1, 2}) {
+    auto resolver = w.testbed.make_resolver(ede::resolver::profile_bind());
+    (void)resolver.resolve_many({{qname, Testbed::edns_qtype(spec, false)},
+                                 {qname, Testbed::edns_qtype(spec, true)}},
+                                window, {});
+    // Both contacts danced: neither read the other's verdict.
+    EXPECT_EQ(resolver.hardening_stats().edns_capability_skips, 0u)
+        << "window " << window;
+    EXPECT_EQ(resolver.hardening_stats().edns_formerr_seen, 2u)
+        << "window " << window;
+  }
+}
+
+// The verdict is overwritten in place, so its entry keeps the value it had
+// when the current batch began: sibling overwrites never reach the other
+// resolutions of that batch, and the next batch reads the latest write.
+// (The writer's own PlainOnly verdicts live in its resolution context;
+// Rfc8198.OwnVerdictAndOwnProofAreVisibleLaterInTheSameResolution covers
+// them under a sibling's overwrite.)
+TEST(EdnsZoo, SiblingOverwriteKeepsTheBatchStartVerdict) {
+  using ede::resolver::InfraCache;
+  InfraCache infra;
+  const auto server = ede::sim::NodeAddress::of("192.0.2.53");
+  const ede::sim::SimTimeMs now = 1'000;
+  const auto plain = InfraCache::EdnsCapability::PlainOnly;
+  const auto full = InfraCache::EdnsCapability::Full;
+
+  infra.report_edns_broken(server, now, 60'000, {.self = 1, .batch_first = 1});
+  // Batch two (ids 2..4): two siblings overwrite the verdict in turn.
+  EXPECT_EQ(infra.edns_capability(server, now, {.self = 4, .batch_first = 2}),
+            plain);
+  infra.report_edns_ok(server, {.self = 2, .batch_first = 2});
+  infra.report_edns_broken(server, now, 60'000, {.self = 3, .batch_first = 2});
+  infra.report_edns_ok(server, {.self = 3, .batch_first = 2});
+  for (const std::uint64_t reader : {2, 3, 4}) {
+    EXPECT_EQ(infra.edns_capability(server, now,
+                                    {.self = reader, .batch_first = 2}),
+              plain)
+        << "reader " << reader;
+  }
+  // Batch three sees the latest write of batch two.
+  EXPECT_EQ(infra.edns_capability(server, now, {.self = 5, .batch_first = 5}),
+            full);
 }
 
 }  // namespace

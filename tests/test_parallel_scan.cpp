@@ -204,21 +204,6 @@ TEST(ParallelScan, InflightWindowDoesNotChangeTheAggregates) {
   }
 }
 
-// And the engine family aggregates identically to the classic blocking
-// path when latency is off (waits are free, so the classic cumulative
-// clock and the engine's epoch-rebased timelines coincide).
-TEST(ParallelScan, EngineMatchesClassicPathWithLatencyOff) {
-  const auto population = generate_population(tiny_config());
-  const auto profile = resolver::profile_cloudflare();
-
-  ParallelScanOptions options;
-  options.shards = 1;
-  const auto classic = run_parallel_scan(population, profile, options);
-  options.scanner.inflight = 256;
-  const auto engine = run_parallel_scan(population, profile, options);
-  expect_same_aggregates(classic.merged, engine.merged);
-}
-
 // The merged hardening counters are exactly the sum over the shards, and
 // the scan world actually exercises the response-acceptance gate: its
 // Mangle pool answers with a rewritten question, so the question-mismatch
@@ -381,8 +366,10 @@ TEST(ScannerStride, ZeroStrideIsClampedAndTerminates) {
 
   Scanner::Options options;
   options.stride = 0;  // used to spin forever in Scanner::run
+  options.inflight = 0;  // clamped the same way, to one serial batch
   const auto result = Scanner(options).run(resolver, population);
   EXPECT_EQ(result.total_domains, population.domains.size());
+  EXPECT_EQ(result.max_in_flight, 1u);
 }
 
 }  // namespace

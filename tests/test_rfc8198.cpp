@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
+#include <vector>
 
 #include "edns/ede.hpp"
 #include "resolver/resolver.hpp"
@@ -32,6 +34,9 @@ bool has_ede(const resolver::Outcome& outcome, edns::EdeCode code) {
 //   opt.test   NSEC3 with opt-out set   (proofs must be rejected)
 //   flat.test  flat NSEC                (deterministic cross-name spans)
 //   wild.test  flat NSEC + `*.wild.test A` (wildcard-adjacent spans)
+// plus two insecure delegations for the batch-snapshot rule:
+//   own.test   unsigned, `a.own.test CNAME b.own.test`
+//   lame.test  no zone: its NS names bbb/charlie.flat.test do not exist
 class Rfc8198 : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -71,6 +76,20 @@ class Rfc8198 : public ::testing::Test {
                       dns::ARdata{*dns::Ipv4Address::parse("192.0.2.20")});
               },
               flat);
+    add_child(*root_zone, "own.test", "93.184.220.5",
+              [](zone::Zone& z) {
+                z.add(dns::Name::of("a.own.test"), dns::RRType::CNAME,
+                      dns::CnameRdata{dns::Name::of("b.own.test")});
+                z.add(dns::Name::of("b.own.test"), dns::RRType::A,
+                      dns::ARdata{*dns::Ipv4Address::parse("192.0.2.30")});
+                z.add(dns::Name::of("c.own.test"), dns::RRType::A,
+                      dns::ARdata{*dns::Ipv4Address::parse("192.0.2.31")});
+              },
+              std::nullopt);
+    for (const char* ns : {"bbb.flat.test", "charlie.flat.test"}) {
+      root_zone->add(dns::Name::of("lame.test"), dns::RRType::NS,
+                     dns::NsRdata{dns::Name::of(ns)});
+    }
 
     const auto root_keys = zone::make_zone_keys(dns::Name{});
     trust_anchor_ = root_keys.ksk.dnskey;
@@ -95,9 +114,11 @@ class Rfc8198 : public ::testing::Test {
                               server.stream_endpoint());
   }
 
+  /// A child zone on its own server; `policy` nullopt leaves it unsigned
+  /// behind an insecure delegation.
   template <typename Fill>
   void add_child(zone::Zone& root_zone, const char* origin, const char* addr,
-                 Fill fill, const zone::SigningPolicy& policy) {
+                 Fill fill, const std::optional<zone::SigningPolicy>& policy) {
     const auto child = dns::Name::of(origin);
     const auto ns_name = dns::Name::of(std::string{"ns1."} + origin);
     auto zone = std::make_shared<zone::Zone>(child);
@@ -112,13 +133,15 @@ class Rfc8198 : public ::testing::Test {
     zone->add(child, dns::RRType::A,
               dns::ARdata{*dns::Ipv4Address::parse("192.0.2.1")});
     fill(*zone);
-    const auto keys = zone::make_zone_keys(child);
-    zone::sign_zone(*zone, keys, policy);
+    if (policy.has_value()) {
+      const auto keys = zone::make_zone_keys(child);
+      zone::sign_zone(*zone, keys, *policy);
+      pending_ds_.emplace_back(child, keys);
+    }
 
     root_zone.add(child, dns::RRType::NS, dns::NsRdata{ns_name});
     root_zone.add(ns_name, dns::RRType::A,
                   dns::ARdata{*dns::Ipv4Address::parse(addr)});
-    pending_ds_.emplace_back(child, keys);
 
     auto server = std::make_shared<server::AuthServer>();
     server->add_zone(zone);
@@ -289,6 +312,70 @@ TEST_F(Rfc8198, SynthesizedNegativesInheritTheProofBound) {
   EXPECT_EQ(after.rcode, dns::RCode::NXDOMAIN);
   EXPECT_GT(packets(), before);
   EXPECT_FALSE(has_ede(after, edns::EdeCode::Synthesized));
+}
+
+// The batch-snapshot rule (DESIGN.md §5g): a resolution always sees its
+// own writes, even when a sibling in its batch overwrites them.
+//  - a.own.test: own.test's server FORMERRs OPT queries for a.own.test
+//    only. The verdict learned on the first hop must spare the CNAME
+//    target's hop the dance, although the sibling c.own.test, which
+//    queries the same server in lockstep, overwrites the verdict with
+//    Full before that hop.
+//  - www.lame.test needs the addresses of bbb.flat.test and
+//    charlie.flat.test: the NXDOMAIN proof captured for the first must
+//    synthesize the second without a packet.
+TEST_F(Rfc8198, OwnVerdictAndOwnProofAreVisibleLaterInTheSameResolution) {
+  const auto a_own = dns::Name::of("a.own.test");
+  network_->set_mutator(
+      sim::NodeAddress::of("93.184.220.5"),
+      [a_own](crypto::BytesView query, crypto::Bytes response,
+              sim::MutateContext& ctx) -> std::optional<crypto::Bytes> {
+        const auto parsed = dns::Message::parse(query);
+        if (!parsed || parsed.value().find_opt() == nullptr ||
+            !(parsed.value().question.front().qname == a_own)) {
+          return response;
+        }
+        dns::Message formerr = dns::make_query(
+            parsed.value().header.id, a_own,
+            parsed.value().question.front().qtype, false);
+        formerr.header.qr = true;
+        formerr.header.rcode = dns::RCode::FORMERR;
+        ctx.mutated = true;
+        return formerr.serialize();
+      });
+  std::size_t charlie_queries = 0;
+  network_->set_mutator(
+      sim::NodeAddress::of("93.184.220.3"),
+      [&charlie_queries](crypto::BytesView query, crypto::Bytes response,
+                         sim::MutateContext&) -> std::optional<crypto::Bytes> {
+        const auto parsed = dns::Message::parse(query);
+        if (parsed && parsed.value().question.front().qname ==
+                          dns::Name::of("charlie.flat.test")) {
+          ++charlie_queries;
+        }
+        return response;
+      });
+
+  auto resolver = make_resolver();
+  std::vector<resolver::Outcome> outcomes(3);
+  (void)resolver.resolve_many(
+      {{a_own, dns::RRType::A},
+       {dns::Name::of("c.own.test"), dns::RRType::A},
+       {dns::Name::of("www.lame.test"), dns::RRType::A}},
+      3, [&outcomes](std::size_t index, resolver::Outcome&& outcome) {
+        outcomes[index] = std::move(outcome);
+      });
+
+  EXPECT_EQ(outcomes[0].rcode, dns::RCode::NOERROR);
+  EXPECT_EQ(outcomes[1].rcode, dns::RCode::NOERROR);
+  const auto& hardening = resolver.hardening_stats();
+  EXPECT_EQ(hardening.edns_formerr_seen, 1u);
+  EXPECT_EQ(hardening.edns_capability_skips, 1u);
+  // Both a.own.test hops answered plain; the sibling spoke EDNS.
+  EXPECT_EQ(hardening.edns_degraded_success, 2u);
+
+  EXPECT_EQ(outcomes[2].rcode, dns::RCode::SERVFAIL);
+  EXPECT_EQ(charlie_queries, 0u);
 }
 
 }  // namespace

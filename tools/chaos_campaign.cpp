@@ -32,19 +32,19 @@
 //      contact with a flipped qtype so it bypasses the answer caches and
 //      exercises the InfraCache capability memory — must produce
 //      byte-identical (rcode, EDE set) outcomes whether driven
-//      case-by-case through resolve() or multiplexed through
-//      resolve_many() at --inflight; the same pass also sweeps randomized
-//      EDNS Byzantine mutators over the classic 63 cases under
-//      invariants 1-4.
+//      case-by-case through resolve() (one-job batches) or as one
+//      resolve_many() batch per contact at --inflight; the same pass also
+//      sweeps randomized EDNS Byzantine mutators over the 63 testbed
+//      cases under invariants 1-4.
 //
 // Usage: chaos_campaign [--seeds N] [--base-seed S] [--out FILE]
 //        [--no-latency] [--hostile-tcp] [--hostile-edns] [--inflight N]
 //        [--async]
 //
-// --async drives every Byzantine pass through the event-loop engine
-// (RecursiveResolver::resolve_many, all 63 cases multiplexed in one
-// batch) instead of case-by-case blocking resolve(): the same invariants
-// must hold when thousands of resolutions share the caches concurrently.
+// --async drives every Byzantine pass as one batch
+// (RecursiveResolver::resolve_many, all 63 cases multiplexed) instead of
+// case-by-case resolve(): the same invariants must hold when thousands
+// of resolutions share the caches concurrently.
 // The hostile-TCP passes stay case-by-case either way — invariant 5
 // reads per-resolution hardening deltas, which have no meaning when
 // resolutions interleave.
@@ -78,7 +78,7 @@ struct CampaignOptions {
   bool latency = true;
   bool hostile_tcp = false;
   bool hostile_edns = false;
-  std::size_t inflight = 4096;  // engine batch width for --hostile-edns
+  std::size_t inflight = 4096;  // batch width for --hostile-edns
   bool async = false;  // multiplex each pass through resolve_many
 };
 
@@ -248,7 +248,7 @@ std::vector<sim::ByzantineBehavior> draw_edns_schedule(
 }
 
 /// One resolution's externally visible outcome, reduced to the pair the
-/// engine-equivalence invariant compares.
+/// batch-equivalence invariant compares.
 struct ContactOutcome {
   std::string rcode;
   std::vector<std::uint16_t> codes;  // sorted
@@ -278,7 +278,7 @@ ContactOutcome reduce_outcome(const resolver::Outcome& outcome) {
   return reduced;
 }
 
-/// Everything one engine mode's run over the EDNS zoo family produced:
+/// Everything one batch shape's run over the EDNS zoo family produced:
 /// per profile, per case, the first- and second-contact outcomes, plus
 /// the per-profile pass aggregates for the report.
 struct EdnsFamilyRun {
@@ -355,9 +355,9 @@ int run_campaign(const CampaignOptions& options) {
       auto resolver = testbed.make_resolver(profile);
       const auto attempts_bound = static_cast<std::uint64_t>(
           resolver.retry_policy().max_total_attempts);
-      // Resolve all cases first — either the classic blocking loop or one
-      // multiplexed engine batch — then run the identical invariant
-      // checks over the collected outcomes.
+      // Resolve all cases first — case by case or as one multiplexed
+      // batch — then run the identical invariant checks over the
+      // collected outcomes.
       std::vector<resolver::Outcome> outcomes(cases.size());
       if (options.async) {
         std::vector<resolver::ResolveJob> jobs;
@@ -459,9 +459,10 @@ int run_campaign(const CampaignOptions& options) {
       // (a) The calibrated family: every case resolved twice per profile
       // (the second contact with a flipped qtype, so it misses the answer
       // caches and reads the InfraCache capability memory instead), in a
-      // fresh identically-seeded world per engine mode. Classic resolve()
-      // and resolve_many() at --inflight must agree exactly.
-      const auto run_family = [&](bool use_engine) {
+      // fresh identically-seeded world per batch shape. Case-by-case
+      // resolve() and one resolve_many() batch per contact at --inflight
+      // must agree exactly.
+      const auto run_family = [&](bool batched) {
         EdnsFamilyRun run;
         auto family_clock = std::make_shared<sim::Clock>();
         auto family_network =
@@ -481,7 +482,7 @@ int run_campaign(const CampaignOptions& options) {
               resolver.retry_policy().max_total_attempts);
           std::vector<std::array<resolver::Outcome, 2>> got(especs.size());
           for (const bool second : {false, true}) {
-            if (use_engine) {
+            if (batched) {
               std::vector<resolver::ResolveJob> jobs;
               jobs.reserve(especs.size());
               for (const auto& spec : especs) {
@@ -494,10 +495,6 @@ int run_campaign(const CampaignOptions& options) {
                                  resolver::Outcome&& outcome) {
                     got[index][second ? 1 : 0] = std::move(outcome);
                   });
-              // The engine's virtual timeline can end the batch at the
-              // very instant the capability verdicts were learned; step
-              // past it so the second batch's epoch guard reads them.
-              family_clock->advance_ms(1);
             } else {
               for (std::size_t i = 0; i < especs.size(); ++i) {
                 got[i][second ? 1 : 0] = resolver.resolve(
@@ -515,7 +512,7 @@ int run_campaign(const CampaignOptions& options) {
               ++run.resolutions;
               std::ostringstream where;
               where << "seed=" << seed << " profile=" << profile.name
-                    << " [edns-zoo" << (use_engine ? " engine" : "")
+                    << " [edns-zoo" << (batched ? " batch" : "")
                     << "] case=" << especs[i].label
                     << (contact == 0 ? " first" : " second");
               const auto upstream =
@@ -560,35 +557,35 @@ int run_campaign(const CampaignOptions& options) {
         return run;
       };
 
-      auto classic_run = run_family(/*use_engine=*/false);
-      const auto engine_run = run_family(/*use_engine=*/true);
-      resolutions += classic_run.resolutions + engine_run.resolutions;
+      auto one_job_run = run_family(/*batched=*/false);
+      const auto batched_run = run_family(/*batched=*/true);
+      resolutions += one_job_run.resolutions + batched_run.resolutions;
 
-      // Invariant 6: the engine is outcome-equivalent to the classic
-      // loop, capability memory included.
+      // Invariant 6: one wide batch is outcome-equivalent to one-job
+      // batches, capability memory included.
       const auto& especs = testbed::edns_cases();
-      for (const auto& [name, rows] : classic_run.outcomes) {
-        const auto& engine_rows = engine_run.outcomes.at(name);
+      for (const auto& [name, rows] : one_job_run.outcomes) {
+        const auto& batched_rows = batched_run.outcomes.at(name);
         for (std::size_t i = 0; i < rows.size(); ++i) {
           for (std::size_t contact = 0; contact < 2; ++contact) {
-            if (rows[i][contact] == engine_rows[i][contact]) continue;
+            if (rows[i][contact] == batched_rows[i][contact]) continue;
             std::ostringstream where;
             where << "seed=" << seed << " profile=" << name
                   << " [edns-zoo] case=" << especs[i].label
                   << (contact == 0 ? " first" : " second");
             violations.push_back(
-                {where.str(), "engine diverges from classic: " +
+                {where.str(), "batch diverges from one-job runs: " +
                                   rows[i][contact].to_string() + " vs " +
-                                  engine_rows[i][contact].to_string()});
+                                  batched_rows[i][contact].to_string()});
           }
         }
       }
-      for (auto& [name, pass] : classic_run.passes) {
+      for (auto& [name, pass] : one_job_run.passes) {
         passes[name + " [edns-zoo]"][seed] = std::move(pass);
       }
-      if (seed == 0) zoo_outcomes = std::move(classic_run.outcomes);
+      if (seed == 0) zoo_outcomes = std::move(one_job_run.outcomes);
 
-      // (b) Randomized EDNS pathologies over the classic 63 cases: the
+      // (b) Randomized EDNS pathologies over the 63 testbed cases: the
       // same invariants as the main Byzantine pass, with the mutator zoo
       // restricted to the OPT-layer kinds.
       for (const auto& profile : profiles) {

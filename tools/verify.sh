@@ -22,20 +22,22 @@
 #   5. configure + build a third tree with EDE_TSAN=ON (-fsanitize=thread)
 #      and run the parallel-scan suite under it — proof that the sharded
 #      scan's worker threads share nothing mutable.
-#   6. async core: the scheduler/engine suites under both sanitizer trees
-#      (coroutine frames are exactly where lifetime bugs hide, and the
-#      TSan pass proves the per-shard event loops stay thread-confined),
-#      then the fixed-seed --inflight equivalence: a latency-mode shard
-#      scanned serially (inflight 1) and wide (inflight 512) must produce
+#   6. async core: the scheduler and batch suites ran under both sanitizer
+#      trees in stages 4-5 (coroutine frames are exactly where lifetime
+#      bugs hide, and the TSan pass proves the per-shard event loops stay
+#      thread-confined); this stage checks the fixed-seed --inflight
+#      equivalence: a latency-mode shard scanned as one serial batch
+#      (inflight 1) and one wide batch (inflight 512) must produce
 #      identical §4.2 per-code CSVs.
 #   7. chaos campaign: run tools/chaos_campaign (63 testbed cases x 7
 #      hostile profiles) from the ASan+UBSan tree with a small seed count,
 #      twice, and diff the two reports — the machine-checked invariants
 #      must hold with zero violations and the JSON must be byte-identical
 #      (the campaign is the determinism contract for the Byzantine layer).
-#      The same campaign runs again with --async (all 63 cases multiplexed
-#      through resolve_many per pass) — the invariants must survive
-#      concurrent cache sharing, byte-reproducibly.
+#      The same campaign runs again with --async (each pass one
+#      resolve_many batch of all 63 cases instead of 63 one-job batches)
+#      — the invariants must survive concurrent cache sharing,
+#      byte-reproducibly.
 #   8. perf smoke: run perf_micro from the optimized stage-1 tree and
 #      print per-benchmark deltas against the committed codec baseline
 #      (bench/perf_baseline_codec.json). Informational, never fails the
@@ -55,9 +57,9 @@
 #  11. EDNS-compliance zoo (DESIGN.md §5i): the calibrated expected_edns()
 #      tables re-checked under ASan+UBSan (the probe-and-fallback dance is
 #      retry-path code, exactly where lifetime bugs hide), then the
-#      hostile-EDNS campaign — the zoo family across all 7 vendor profiles
-#      through both engines plus the randomized EDNS mutator pass — run
-#      twice and byte-compared. The E1 lint rule (EDE INFO-CODEs in the
+#      hostile-EDNS campaign — the zoo family across all 7 vendor profiles,
+#      case by case and as one wide batch, plus the randomized EDNS
+#      mutator pass — run twice and byte-compared. The E1 lint rule (EDE INFO-CODEs in the
 #      fallback path must name registry enumerators, never literals) is
 #      enforced by stage 2's whole-tree scan and exercised by the
 #      e1_bad_fallback fixture in its self-test.
@@ -68,17 +70,24 @@
 #      --jobs 4 runs must be byte-identical, re-checked here on top of
 #      the EdeLint.JsonByteStable ctest so a verify run proves it even
 #      when stage 1's suite was filtered.
+#  13. repository benchmark self-test (perfbench/README.md): builds
+#      perfbench into .bench_build/, runs every workload at the tiny size
+#      untraced and traced, and checks that every BENCHMARK.json metric
+#      comes out with its unit, that the output check passes on the
+#      committed references and fails on a corrupted one, that a seed
+#      change moves the input digest, and that a bare benchmark directory
+#      fails without a result.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 JOBS=$(nproc 2>/dev/null || echo 4)
 
-echo "=== [1/12] normal build + full test suite ==="
+echo "=== [1/13] normal build + full test suite ==="
 cmake -B build -S . >/dev/null
 cmake --build build -j "$JOBS"
 ctest --test-dir build --output-on-failure
 
-echo "=== [2/12] static analysis: ede_lint self-test + whole-tree scan ==="
+echo "=== [2/13] static analysis: ede_lint self-test + whole-tree scan ==="
 ./build/tools/ede_lint/ede_lint --self-test tests/lint_fixtures
 # Three-valued exit: 0 clean, 1 new findings, 2 internal/I-O/parse error.
 # Distinguish them so a broken lint never masquerades as "findings".
@@ -92,11 +101,11 @@ case "$lint_status" in
      exit 1 ;;
 esac
 
-echo "=== [3/12] hardened-warnings build: EDE_WERROR=ON must compile clean ==="
+echo "=== [3/13] hardened-warnings build: EDE_WERROR=ON must compile clean ==="
 cmake -B build-werror -S . -DEDE_WERROR=ON >/dev/null
 cmake --build build-werror -j "$JOBS"
 
-echo "=== [4/12] ASan+UBSan build: codec + robustness + chaos + malformed-corpus + parallel-scan + async core ==="
+echo "=== [4/13] ASan+UBSan build: codec + robustness + chaos + malformed-corpus + parallel-scan + async core ==="
 cmake -B build-asan -S . -DEDE_SANITIZE=ON >/dev/null
 cmake --build build-asan -j "$JOBS" --target test_robustness test_chaos \
   test_malformed_corpus test_parallel_scan test_async_core test_name \
@@ -104,13 +113,13 @@ cmake --build build-asan -j "$JOBS" --target test_robustness test_chaos \
   test_stream_scenarios test_truncation
 ctest --test-dir build-asan --output-on-failure -R 'Robust|Chaos|Malformed|Parallel|ScanMerge|PlanShards|ScannerStride|Name|Wire|Rdata|DecodeRdata|Presentation|TypeBitmap|Message|CodecGolden|Stream|Framing|Truncation|EventScheduler|RetryPolicy|CoalesceKey|AsyncCore'
 
-echo "=== [5/12] TSan build: parallel-scan + async-core suites ==="
+echo "=== [5/13] TSan build: parallel-scan + async-core suites ==="
 cmake -B build-tsan -S . -DEDE_TSAN=ON >/dev/null
 cmake --build build-tsan -j "$JOBS" --target test_parallel_scan test_async_core
 ctest --test-dir build-tsan --output-on-failure \
   -R 'Parallel|ScanMerge|PlanShards|ScannerStride|EventScheduler|AsyncCore'
 
-echo "=== [6/12] async engine: fixed-seed --inflight equivalence ==="
+echo "=== [6/13] async engine: fixed-seed --inflight equivalence ==="
 # The event-loop contract (DESIGN.md §5g): multiplexing width is a pure
 # throughput knob. The same fixed-seed shard scanned serially (inflight 1)
 # and 512-wide must roll up to byte-identical §4.2 per-code aggregates.
@@ -123,7 +132,7 @@ cmp build/scan_inflight_serial.csv build/scan_inflight_wide.csv \
   || { echo "--inflight width changed the scan aggregates" >&2; exit 1; }
 echo "async engine: inflight 1 and inflight 512 aggregates byte-identical"
 
-echo "=== [7/12] chaos campaign under ASan+UBSan: invariants + byte-reproducibility ==="
+echo "=== [7/13] chaos campaign under ASan+UBSan: invariants + byte-reproducibility ==="
 cmake --build build-asan -j "$JOBS" --target chaos_campaign
 ./build-asan/tools/chaos_campaign --seeds 3 --out build-asan/chaos_report_a.json
 ./build-asan/tools/chaos_campaign --seeds 3 --out build-asan/chaos_report_b.json
@@ -138,9 +147,9 @@ cmp build-asan/chaos_report_a.json build-asan/chaos_report_b.json \
   --out build-asan/chaos_tcp_b.json
 cmp build-asan/chaos_tcp_a.json build-asan/chaos_tcp_b.json \
   || { echo "hostile-TCP campaign report is not byte-reproducible" >&2; exit 1; }
-# The async campaign: every main Byzantine pass multiplexes all 63 cases
-# through resolve_many over the shared caches — the invariants must hold
-# under concurrent cache sharing and the report must stay byte-reproducible.
+# The async campaign: every main Byzantine pass is one resolve_many batch
+# of all 63 cases over the shared caches — the invariants must hold under
+# concurrent cache sharing and the report must stay byte-reproducible.
 ./build-asan/tools/chaos_campaign --seeds 3 --async \
   --out build-asan/chaos_async_a.json
 ./build-asan/tools/chaos_campaign --seeds 3 --async \
@@ -149,7 +158,7 @@ cmp build-asan/chaos_async_a.json build-asan/chaos_async_b.json \
   || { echo "async campaign report is not byte-reproducible" >&2; exit 1; }
 echo "chaos campaign: zero violations, reports byte-reproducible"
 
-echo "=== [8/12] perf smoke: codec deltas (informational) + scan perf gate (hard) ==="
+echo "=== [8/13] perf smoke: codec deltas (informational) + scan perf gate (hard) ==="
 # The stage-1 tree defaults to RelWithDebInfo, so its bench targets pass
 # the release-only guard in bench/CMakeLists.txt.
 cmake --build build -j "$JOBS" --target perf_micro sec42_wild_scan
@@ -171,7 +180,7 @@ python3 tools/perf_smoke.py --scan build/scan_fresh_1.json \
   build/scan_fresh_2.json build/scan_fresh_3.json \
   --baseline bench/perf_baseline_scan.json
 
-echo "=== [9/12] clang-tidy (optional): curated check set over src/ ==="
+echo "=== [9/13] clang-tidy (optional): curated check set over src/ ==="
 if command -v clang-tidy >/dev/null 2>&1; then
   # Tidy reuses the stage-1 compile commands; the curated check set lives
   # in .clang-tidy at the repo root.
@@ -184,7 +193,7 @@ else
   echo "clang-tidy and re-run tools/verify.sh to enable this stage)"
 fi
 
-echo "=== [10/12] frontline serving: byte-reproducible report + serve perf gate ==="
+echo "=== [10/13] frontline serving: byte-reproducible report + serve perf gate ==="
 cmake --build build -j "$JOBS" --target serve_qps
 # Two fixed-seed runs must emit byte-identical serving reports. The run
 # itself machine-checks the outage invariants (EDE 3/19 delivery, bounded
@@ -206,13 +215,13 @@ python3 tools/perf_smoke.py --serve build/serve_fresh_1.json \
   build/serve_fresh_2.json build/serve_fresh_3.json \
   --baseline bench/perf_baseline_serve.json
 
-echo "=== [11/12] EDNS zoo: calibrated tables under ASan + hostile-EDNS campaign ==="
+echo "=== [11/13] EDNS zoo: calibrated tables under ASan + hostile-EDNS campaign ==="
 cmake --build build-asan -j "$JOBS" --target test_edns_zoo chaos_campaign
 ctest --test-dir build-asan --output-on-failure -R 'EdnsRow|EdnsZoo'
 # The hostile-EDNS campaign: the zoo family (12 cases x 7 vendor profiles,
-# classic and resolve_many engines, whose equality is itself an invariant)
-# plus a randomized EDNS-mutator pass over the 63 classic cases. Zero
-# invariant violations and byte-reproducible output required.
+# one-job batches and one wide batch, whose equality is itself an
+# invariant) plus a randomized EDNS-mutator pass over the 63 testbed
+# cases. Zero invariant violations and byte-reproducible output required.
 ./build-asan/tools/chaos_campaign --seeds 2 --hostile-edns \
   --out build-asan/chaos_edns_a.json
 ./build-asan/tools/chaos_campaign --seeds 2 --hostile-edns \
@@ -221,7 +230,7 @@ cmp build-asan/chaos_edns_a.json build-asan/chaos_edns_b.json \
   || { echo "hostile-EDNS campaign report is not byte-reproducible" >&2; exit 1; }
 echo "edns zoo: calibrated tables hold under ASan, campaign byte-reproducible"
 
-echo "=== [12/12] flow-aware lint: tree scan with C1/S1 + --jobs byte-stability ==="
+echo "=== [12/13] flow-aware lint: tree scan with C1/S1 + --jobs byte-stability ==="
 # Full tree again (C1/S1 run as part of every scan — this stage exists so
 # a verify run exercises them explicitly), then the determinism contract
 # the linter holds itself to: JSON output, including the per-family
@@ -242,5 +251,8 @@ cmp build/lint_jobs1.json build/lint_jobs4.json \
   || { echo "ede_lint --json differs between --jobs 1 and --jobs 4" >&2; exit 1; }
 ctest --test-dir build --output-on-failure -R 'EdeLint.JsonByteStable'
 echo "flow-aware lint: tree clean, --jobs 1 and --jobs 4 reports byte-identical"
+
+echo "=== [13/13] repository benchmark self-test ==="
+python3 perfbench/selftest.py
 
 echo "verify: OK"
