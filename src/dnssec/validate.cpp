@@ -135,7 +135,6 @@ KeyTrustResult validate_keys_against_entry_points(
   }
 
   bool saw_sep_sig = false;
-  bool any_sig_verifies = false;  // by any key at all, for diagnosis
   std::vector<Finding> sep_problems;
   bool trusted = false;
 
@@ -145,14 +144,6 @@ KeyTrustResult validate_keys_against_entry_points(
     for (const auto* key : sep_keys) {
       if (key_tag(*key) == sig.key_tag && key->algorithm == sig.algorithm)
         sep = key;
-    }
-    // Track whether *some* key verifies this signature (distinguishes
-    // "only the KSK's signature is corrupt" from "all are corrupt").
-    for (const auto& key : keys) {
-      if (key_tag(key) == sig.key_tag && key.algorithm == sig.algorithm &&
-          verify_rrset(*dnskey_rrset, sig, key)) {
-        any_sig_verifies = true;
-      }
     }
     if (sep == nullptr) continue;
     saw_sep_sig = true;
@@ -190,6 +181,19 @@ KeyTrustResult validate_keys_against_entry_points(
 
   if (!trusted) {
     result.security = Security::Bogus;
+    // Does *some* key verify some signature? Distinguishes "only the KSK's
+    // signature is corrupt" from "all are corrupt".
+    const auto any_sig_verifies = [&] {
+      return std::any_of(
+          relevant.begin(), relevant.end(), [&](const dns::RrsigRdata& sig) {
+            return std::any_of(
+                keys.begin(), keys.end(), [&](const dns::DnskeyRdata& key) {
+                  return key_tag(key) == sig.key_tag &&
+                         key.algorithm == sig.algorithm &&
+                         verify_rrset(*dnskey_rrset, sig, key);
+                });
+          });
+    };
     if (!saw_sep_sig) {
       add_finding(result.findings, Stage::DnskeyTrust,
                   Defect::DnskeyNotSignedByKsk,
@@ -199,7 +203,7 @@ KeyTrustResult validate_keys_against_entry_points(
                            [](const Finding& f) {
                              return f.defect == Defect::DnskeyKskSigInvalid;
                            }) &&
-               !any_sig_verifies) {
+               !any_sig_verifies()) {
       // Every signature over the DNSKEY RRset is cryptographically wrong.
       add_finding(result.findings, Stage::DnskeyTrust,
                   Defect::DnskeyRrsigInvalid,

@@ -300,12 +300,15 @@ dns::Message TldAuthority::referral(const dns::Message& query,
   return response;
 }
 
+}  // namespace
+
 /// Healthy provider: synthesizes the child zone for whichever registered
-/// domain the query concerns, with a tiny LRU so the scanner's sequential
-/// access pattern stays cheap.
+/// domain the query concerns, keeping the kZoneCacheCapacity most recently
+/// used ones so the scanner's sequential access pattern stays cheap.
 class ProviderServer {
  public:
-  explicit ProviderServer(const ScanWorld* world) : world_(world) {}
+  ProviderServer(const ScanWorld* world, const Population* population)
+      : world_(world), population_(population) {}
 
   [[nodiscard]] std::optional<crypto::Bytes> handle(
       crypto::BytesView wire, const sim::PacketContext& ctx,
@@ -330,26 +333,47 @@ class ProviderServer {
       refused.header.rcode = dns::RCode::REFUSED;
       return arena_.serialize_copy(refused);
     }
-
-    auto it = cache_.find(domain->fqdn);
-    if (it == cache_.end()) {
-      if (cache_.size() >= 16) cache_.clear();
-      auto server = std::make_shared<server::AuthServer>();
-      server->add_zone(world_->build_child_zone(*domain));
-      it = cache_.emplace(domain->fqdn, std::move(server)).first;
-    }
-    return arena_.serialize_copy(it->second->handle(query, ctx, over_stream));
+    return arena_.serialize_copy(
+        server_for(*domain).handle(query, ctx, over_stream));
   }
 
+  [[nodiscard]] std::size_t builds() const { return builds_; }
+
  private:
+  static constexpr std::size_t kZoneCacheCapacity = 16;
+
+  struct Entry {
+    std::size_t domain;  // index into the population
+    std::unique_ptr<server::AuthServer> server;
+  };
+
+  server::AuthServer& server_for(const DomainSpec& domain) {
+    const auto index =
+        static_cast<std::size_t>(&domain - population_->domains.data());
+    const auto hit =
+        std::find_if(lru_.begin(), lru_.end(),
+                     [&](const Entry& entry) { return entry.domain == index; });
+    if (hit != lru_.end()) {
+      std::rotate(hit, hit + 1, lru_.end());
+    } else {
+      if (lru_.size() == kZoneCacheCapacity) lru_.erase(lru_.begin());
+      auto server = std::make_unique<server::AuthServer>();
+      server->add_zone(world_->build_child_zone(domain));
+      ++builds_;
+      lru_.push_back({index, std::move(server)});
+    }
+    return *lru_.back().server;
+  }
+
   const ScanWorld* world_;
-  std::unordered_map<std::string, std::shared_ptr<server::AuthServer>> cache_;
+  const Population* population_;
+  /// Least recently used first.
+  std::vector<Entry> lru_;
+  std::size_t builds_ = 0;
   /// Reused parse/serialize scratch (the cached child servers each carry
   /// their own arena, so the query scratch is not clobbered mid-handle).
   dns::MessageArena arena_;
 };
-
-}  // namespace
 
 // --- ScanWorld ----------------------------------------------------------
 
@@ -362,8 +386,12 @@ ScanWorld::ScanWorld(std::shared_ptr<sim::Network> network,
 }
 
 const DomainSpec* ScanWorld::lookup(const dns::Name& name) const {
-  const auto it = index_.find(name.to_string());
+  const auto it = index_.find(name);
   return it == index_.end() ? nullptr : it->second;
+}
+
+std::size_t ScanWorld::child_zone_builds() const {
+  return healthy_provider_->builds();
 }
 
 sim::NodeAddress ScanWorld::provider_address(ServingPlan::Pool pool,
@@ -379,7 +407,7 @@ std::size_t ScanWorld::dead_provider_count() const { return dead_providers_; }
 void ScanWorld::build() {
   // Index the population.
   for (const auto& domain : population_->domains) {
-    index_.emplace(dns::Name::of(domain.fqdn).to_string(), &domain);
+    index_.emplace(dns::Name::of(domain.fqdn), &domain);
   }
 
   // One registration point for every authority address: UDP always, plus
@@ -446,14 +474,14 @@ void ScanWorld::build() {
   root_servers_ = {sim::NodeAddress::of(kRootServerAddr)};
 
   // Provider pools.
-  auto healthy = std::make_shared<ProviderServer>(this);
-  const auto healthy_endpoint = [healthy](bool over_stream) -> sim::Endpoint {
+  healthy_provider_ = std::make_shared<ProviderServer>(this, population_);
+  const auto healthy_endpoint = [healthy = healthy_provider_](
+                                    bool over_stream) -> sim::Endpoint {
     return [healthy, over_stream](crypto::BytesView wire,
                                   const sim::PacketContext& ctx) {
       return healthy->handle(wire, ctx, over_stream);
     };
   };
-  keep_alive_.push_back(healthy);
 
   server::ServerConfig refused_config;
   refused_config.fixed_rcode = dns::RCode::REFUSED;

@@ -12,6 +12,7 @@
 #include <memory>
 #include <unordered_map>
 
+#include "dnscore/name.hpp"
 #include "resolver/resolver.hpp"
 #include "scan/population.hpp"
 #include "server/auth_server.hpp"
@@ -55,6 +56,8 @@ struct WorldOptions {
   bool stream_listeners = false;
 };
 
+class ProviderServer;
+
 class ScanWorld {
  public:
   ScanWorld(std::shared_ptr<sim::Network> network, const Population& population,
@@ -95,6 +98,10 @@ class ScanWorld {
   /// The spec registered for exactly this name, if any.
   [[nodiscard]] const DomainSpec* lookup(const dns::Name& name) const;
 
+  /// Child zones the healthy provider has built so far; it keeps the 16
+  /// most recently used and rebuilds any other on demand.
+  [[nodiscard]] std::size_t child_zone_builds() const;
+
  private:
   void build();
 
@@ -104,8 +111,9 @@ class ScanWorld {
   std::vector<sim::NodeAddress> root_servers_;
   dns::DnskeyRdata trust_anchor_;
 
-  // fqdn (presentation form with trailing dot, lowercase) -> spec
-  std::unordered_map<std::string, const DomainSpec*> index_;
+  // registered fqdn -> spec
+  std::unordered_map<dns::Name, const DomainSpec*, dns::NameHash> index_;
+  std::shared_ptr<ProviderServer> healthy_provider_;
   std::vector<std::shared_ptr<void>> keep_alive_;  // servers & zones
   std::vector<sim::NodeAddress> tld_addresses_;
   std::size_t dead_providers_ = 0;

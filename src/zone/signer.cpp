@@ -102,13 +102,11 @@ void sign_zone(Zone& zone, const ZoneKeys& keys, const SigningPolicy& policy) {
     case DenialMode::None: break;
   }
 
-  // Snapshot the RRsets to sign (signing adds RRSIG sets; do not iterate
-  // the container while mutating it).
-  struct Target {
-    dns::RRset rrset;
-    bool is_dnskey;
-  };
-  std::vector<Target> targets;
+  // Record the RRsets to sign; Zone::signatures() signs each the first
+  // time it is asked for, and any access that could see or change
+  // signature data materializes them all in this order.
+  PendingSignatures pending{keys.ksk, keys.zsk, policy.window,
+                            policy.sign_dnskey_with_zsk, {}};
   for (const auto& name : zone.names()) {
     const auto cut = zone.delegation_for(name);
     if (cut && !(name == *cut)) continue;  // occluded glue
@@ -119,29 +117,10 @@ void sign_zone(Zone& zone, const ZoneKeys& keys, const SigningPolicy& policy) {
         continue;  // parent-side NS + glue at a cut are not signed,
                    // but DS and NSEC at the cut are (RFC 4035 §2.2/§2.3)
       }
-      targets.push_back({*set, set->type == dns::RRType::DNSKEY});
+      pending.targets.push_back({name, set->type, {}});
     }
   }
-
-  for (const auto& target : targets) {
-    if (target.is_dnskey) {
-      zone.add(target.rrset.name, dns::RRType::RRSIG,
-               dns::Rdata{dnssec::sign_rrset(target.rrset, keys.ksk, origin,
-                                             policy.window)},
-               target.rrset.ttl);
-      if (policy.sign_dnskey_with_zsk) {
-        zone.add(target.rrset.name, dns::RRType::RRSIG,
-                 dns::Rdata{dnssec::sign_rrset(target.rrset, keys.zsk, origin,
-                                               policy.window)},
-                 target.rrset.ttl);
-      }
-    } else {
-      zone.add(target.rrset.name, dns::RRType::RRSIG,
-               dns::Rdata{dnssec::sign_rrset(target.rrset, keys.zsk, origin,
-                                             policy.window)},
-               target.rrset.ttl);
-    }
-  }
+  zone.defer_signatures(std::move(pending));
 }
 
 std::vector<dns::DsRdata> ds_records(const dns::Name& origin,

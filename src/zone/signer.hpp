@@ -48,7 +48,9 @@ struct SigningPolicy {
 /// Sign `zone` in place: installs the DNSKEY RRset, the NSEC3PARAM/NSEC3
 /// chain and RRSIGs over every authoritative RRset. Glue and parent-side
 /// NS records at delegation cuts stay unsigned, DS RRsets are signed
-/// (RFC 4035 §2.2).
+/// (RFC 4035 §2.2). Each RRSIG is computed over the content as it is now,
+/// but only when first served or when the zone is next changed or read
+/// whole (see Zone).
 void sign_zone(Zone& zone, const ZoneKeys& keys, const SigningPolicy& policy);
 
 /// The DS RRset the parent should publish for this zone.

@@ -1,11 +1,12 @@
 #include "zone/zone.hpp"
 
 #include <algorithm>
+#include <compare>
 
 namespace ede::zone {
 
-void Zone::add(const dns::ResourceRecord& rr) {
-  auto& node = nodes_[rr.name];
+void Zone::insert(NodeMap& nodes, const dns::ResourceRecord& rr) {
+  auto& node = nodes[rr.name];
   auto it = node.find(rr.type);
   if (it == node.end()) {
     node.emplace(rr.type,
@@ -14,6 +15,11 @@ void Zone::add(const dns::ResourceRecord& rr) {
     it->second.rdatas.push_back(rr.rdata);
     it->second.ttl = std::min(it->second.ttl, rr.ttl);
   }
+}
+
+void Zone::add(const dns::ResourceRecord& rr) {
+  materialize_signatures();
+  insert(nodes_, rr);
 }
 
 void Zone::add(const dns::Name& name, dns::RRType type, dns::Rdata rdata) {
@@ -27,6 +33,7 @@ void Zone::add(const dns::Name& name, dns::RRType type, dns::Rdata rdata,
 }
 
 bool Zone::remove(const dns::Name& name, dns::RRType type) {
+  materialize_signatures();
   const auto node = nodes_.find(name);
   if (node == nodes_.end()) return false;
   const bool removed = node->second.erase(type) > 0;
@@ -35,6 +42,7 @@ bool Zone::remove(const dns::Name& name, dns::RRType type) {
 }
 
 std::size_t Zone::remove_signatures_covering(dns::RRType covered) {
+  materialize_signatures();
   std::size_t removed = 0;
   for (auto node = nodes_.begin(); node != nodes_.end();) {
     auto sig_set = node->second.find(dns::RRType::RRSIG);
@@ -59,6 +67,7 @@ std::size_t Zone::remove_signatures_covering(dns::RRType covered) {
 }
 
 std::size_t Zone::remove_all_signatures() {
+  materialize_signatures();
   std::size_t removed = 0;
   for (auto node = nodes_.begin(); node != nodes_.end();) {
     auto sig_set = node->second.find(dns::RRType::RRSIG);
@@ -76,6 +85,12 @@ std::size_t Zone::remove_all_signatures() {
 }
 
 const dns::RRset* Zone::find(const dns::Name& name, dns::RRType type) const {
+  if (type == dns::RRType::RRSIG) materialize_signatures();
+  return find_stored(name, type);
+}
+
+const dns::RRset* Zone::find_stored(const dns::Name& name,
+                                    dns::RRType type) const {
   const auto node = nodes_.find(name);
   if (node == nodes_.end()) return nullptr;
   const auto it = node->second.find(type);
@@ -83,6 +98,7 @@ const dns::RRset* Zone::find(const dns::Name& name, dns::RRType type) const {
 }
 
 dns::RRset* Zone::find_mutable(const dns::Name& name, dns::RRType type) {
+  materialize_signatures();
   const auto node = nodes_.find(name);
   if (node == nodes_.end()) return nullptr;
   const auto it = node->second.find(type);
@@ -90,6 +106,7 @@ dns::RRset* Zone::find_mutable(const dns::Name& name, dns::RRType type) {
 }
 
 std::vector<const dns::RRset*> Zone::at(const dns::Name& name) const {
+  materialize_signatures();
   std::vector<const dns::RRset*> out;
   const auto node = nodes_.find(name);
   if (node == nodes_.end()) return out;
@@ -101,13 +118,59 @@ std::vector<const dns::RRset*> Zone::at(const dns::Name& name) const {
 std::vector<dns::RrsigRdata> Zone::signatures(const dns::Name& name,
                                               dns::RRType covered) const {
   std::vector<dns::RrsigRdata> out;
-  const auto* sigs = find(name, dns::RRType::RRSIG);
-  if (sigs == nullptr) return out;
-  for (const auto& rd : sigs->rdatas) {
-    const auto* sig = std::get_if<dns::RrsigRdata>(&rd);
-    if (sig != nullptr && sig->type_covered == covered) out.push_back(*sig);
+  if (const auto* sigs = find_stored(name, dns::RRType::RRSIG)) {
+    for (const auto& rd : sigs->rdatas) {
+      const auto* sig = std::get_if<dns::RrsigRdata>(&rd);
+      if (sig != nullptr && sig->type_covered == covered) out.push_back(*sig);
+    }
+  }
+  if (!pending_) return out;
+  auto& targets = pending_->targets;
+  const auto target = std::partition_point(
+      targets.begin(), targets.end(), [&](const auto& t) {
+        const auto order = t.owner.canonical_compare(name);
+        return std::is_lt(order) || (std::is_eq(order) && t.type < covered);
+      });
+  if (target != targets.end() && target->owner == name &&
+      target->type == covered) {
+    const auto& made = sign(*target);
+    out.insert(out.end(), made.begin(), made.end());
   }
   return out;
+}
+
+void Zone::defer_signatures(PendingSignatures pending) {
+  materialize_signatures();
+  pending_ = std::move(pending);
+}
+
+const std::vector<dns::RrsigRdata>& Zone::sign(
+    PendingSignatures::Target& target) const {
+  if (!target.made.empty()) return target.made;
+  const dns::RRset& rrset = *find_stored(target.owner, target.type);
+  const auto sign_with = [&](const dnssec::SigningKey& key) {
+    target.made.push_back(
+        dnssec::sign_rrset(rrset, key, origin_, pending_->window));
+  };
+  if (target.type == dns::RRType::DNSKEY) {
+    sign_with(pending_->ksk);
+    if (pending_->sign_dnskey_with_zsk) sign_with(pending_->zsk);
+  } else {
+    sign_with(pending_->zsk);
+  }
+  return target.made;
+}
+
+void Zone::materialize_signatures() const {
+  if (!pending_) return;
+  for (auto& target : pending_->targets) {
+    const std::uint32_t ttl = find_stored(target.owner, target.type)->ttl;
+    for (const auto& sig : sign(target)) {
+      insert(nodes_, {target.owner, dns::RRType::RRSIG, dns::RRClass::IN, ttl,
+                      dns::Rdata{sig}});
+    }
+  }
+  pending_.reset();
 }
 
 bool Zone::name_exists(const dns::Name& name) const {
@@ -159,6 +222,7 @@ std::vector<dns::Name> Zone::authoritative_names() const {
 }
 
 std::size_t Zone::record_count() const {
+  materialize_signatures();
   std::size_t count = 0;
   for (const auto& [name, types] : nodes_) {
     (void)name;

@@ -8,6 +8,8 @@
 #include <vector>
 
 #include "dnscore/rr.hpp"
+#include "dnssec/keys.hpp"
+#include "dnssec/sign.hpp"
 
 namespace ede::zone {
 
@@ -17,6 +19,24 @@ struct CanonicalLess {
   }
 };
 
+/// Signatures sign_zone owes but has not computed yet: the RRsets it
+/// would sign, in its order, and what to sign them with (DESIGN.md §5k).
+struct PendingSignatures {
+  struct Target {
+    dns::Name owner;
+    dns::RRType type;
+    /// The RRSIGs over this RRset once first asked for (KSK before ZSK
+    /// on DNSKEY); empty until then.
+    std::vector<dns::RrsigRdata> made;
+  };
+  dnssec::SigningKey ksk;
+  dnssec::SigningKey zsk;
+  dnssec::SignatureWindow window;
+  bool sign_dnskey_with_zsk = true;
+  /// Owners in canonical order, types ascending within an owner.
+  std::vector<Target> targets;
+};
+
 class Zone {
  public:
   explicit Zone(dns::Name origin, std::uint32_t default_ttl = 3600)
@@ -24,6 +44,13 @@ class Zone {
 
   [[nodiscard]] const dns::Name& origin() const { return origin_; }
   [[nodiscard]] std::uint32_t default_ttl() const { return default_ttl_; }
+
+  // Pending signatures are made over the content at sign_zone time, so
+  // every accessor that can change content or expose RRSIG sets (add,
+  // remove, find_mutable, the signature removers, find(name, RRSIG),
+  // at() and record_count()) first materializes all of them into RRSIG
+  // RRsets, in sign_zone's order. A zone with pending signatures changes
+  // under const reads and must stay on one thread.
 
   /// Add one record (merged into the owner/type RRset).
   void add(const dns::ResourceRecord& rr);
@@ -49,9 +76,13 @@ class Zone {
   /// All RRsets at a name (empty vector if the name does not exist).
   [[nodiscard]] std::vector<const dns::RRset*> at(const dns::Name& name) const;
 
-  /// RRSIG rdatas at `name` whose type_covered equals `covered`.
+  /// RRSIG rdatas at `name` whose type_covered equals `covered`: those
+  /// present, then the pending ones, each signed on its first request.
   [[nodiscard]] std::vector<dns::RrsigRdata> signatures(
       const dns::Name& name, dns::RRType covered) const;
+
+  /// sign_zone's hook: owe signatures over `pending.targets`.
+  void defer_signatures(PendingSignatures pending);
 
   [[nodiscard]] bool name_exists(const dns::Name& name) const;
 
@@ -72,10 +103,21 @@ class Zone {
 
  private:
   using TypeMap = std::map<dns::RRType, dns::RRset>;
+  using NodeMap = std::map<dns::Name, TypeMap, CanonicalLess>;
+
+  static void insert(NodeMap& nodes, const dns::ResourceRecord& rr);
+  /// find() without materializing.
+  [[nodiscard]] const dns::RRset* find_stored(const dns::Name& name,
+                                              dns::RRType type) const;
+  [[nodiscard]] const std::vector<dns::RrsigRdata>& sign(
+      PendingSignatures::Target& target) const;
+  void materialize_signatures() const;
 
   dns::Name origin_;
   std::uint32_t default_ttl_;
-  std::map<dns::Name, TypeMap, CanonicalLess> nodes_;
+  // Mutable: materializing pending signatures is not an observable change.
+  mutable NodeMap nodes_;
+  mutable std::optional<PendingSignatures> pending_;
 };
 
 }  // namespace ede::zone

@@ -2,9 +2,11 @@
 // on-demand synthesis determinism, provider pools and the CSV exporters.
 #include <gtest/gtest.h>
 
+#include "edns/edns.hpp"
 #include "scan/export.hpp"
 #include "scan/scanner.hpp"
 #include "scan/world.hpp"
+#include "server/auth_server.hpp"
 
 namespace {
 
@@ -111,6 +113,73 @@ TEST_F(ScanWorldFixture, PartialFailZoneHasTwoNameservers) {
   const auto* ns = zone->find(zone->origin(), RRType::NS);
   ASSERT_NE(ns, nullptr);
   EXPECT_EQ(ns->rdatas.size(), 2u);
+}
+
+TEST_F(ScanWorldFixture, LazyAndMaterializedChildZonesServeIdenticalBytes) {
+  const auto answer = [](const server::AuthServer& server, const Name& qname,
+                         RRType qtype) {
+    dns::Message query = dns::make_query(7, qname, qtype);
+    edns::Edns edns;
+    edns.dnssec_ok = true;
+    edns.udp_payload_size = 0xffff;
+    edns::set_edns(query, edns);
+    return server
+        .handle(query, sim::PacketContext{sim::NodeAddress::of("192.0.2.100")})
+        .serialize();
+  };
+  std::size_t categories = 0;
+  for (const auto& info : category_table()) {
+    const auto* domain = first_of(info.category);
+    if (domain == nullptr) continue;
+    ++categories;
+    // Each build defers its signing; the second is materialized up front.
+    server::AuthServer lazy;
+    lazy.add_zone(world_.build_child_zone(*domain));
+    const auto built = world_.build_child_zone(*domain);
+    EXPECT_GT(built->record_count(), 0u);
+    server::AuthServer materialized;
+    materialized.add_zone(built);
+    const Name apex = built->origin();
+    for (const auto& [qname, qtype] :
+         std::vector<std::pair<Name, RRType>>{
+             {apex, RRType::A},
+             {apex, RRType::DNSKEY},
+             {apex, RRType::SOA},
+             {apex, RRType::NS},
+             {apex.prefixed("nonexistent").take(), RRType::A}}) {
+      EXPECT_EQ(answer(lazy, qname, qtype),
+                answer(materialized, qname, qtype))
+          << info.name << " " << qname.to_string() << " "
+          << dns::to_string(qtype);
+    }
+  }
+  EXPECT_EQ(categories, category_table().size());
+}
+
+TEST_F(ScanWorldFixture, ProviderKeepsTheSixteenMostRecentlyBuiltZones) {
+  std::vector<const DomainSpec*> healthy;
+  for (const auto& domain : population_.domains) {
+    if (domain.category == Category::Healthy) healthy.push_back(&domain);
+    if (healthy.size() == 17) break;
+  }
+  ASSERT_EQ(healthy.size(), 17u);
+  const auto ask = [&](const DomainSpec& domain) {
+    const auto query =
+        dns::make_query(1, Name::of(domain.fqdn), RRType::A).serialize();
+    const auto result = network_->send(
+        sim::NodeAddress::of("192.0.2.100"),
+        world_.provider_address(ServingPlan::Pool::Healthy, domain.provider),
+        query);
+    EXPECT_EQ(result.status, sim::SendStatus::Delivered) << domain.fqdn;
+  };
+  const auto before = world_.child_zone_builds();
+  for (const auto* domain : healthy) ask(*domain);
+  EXPECT_EQ(world_.child_zone_builds() - before, 17u);
+  // The 16 most recently built are all still held, in any order.
+  for (std::size_t i = healthy.size() - 1; i >= 1; --i) ask(*healthy[i]);
+  EXPECT_EQ(world_.child_zone_builds() - before, 17u);
+  ask(*healthy.front());  // the least recently used, evicted by the 17th
+  EXPECT_EQ(world_.child_zone_builds() - before, 18u);
 }
 
 TEST_F(ScanWorldFixture, LookupFindsExactlyRegisteredNames) {

@@ -4,6 +4,8 @@
 
 #include "crypto/encoding.hpp"
 #include "dnssec/nsec3.hpp"
+#include "edns/edns.hpp"
+#include "server/auth_server.hpp"
 #include "zone/signer.hpp"
 #include "zone/zone.hpp"
 
@@ -117,15 +119,17 @@ TEST(Zone, RemoveAllSignatures) {
 
 // --- signed-zone invariants (property-style checks) ---------------------
 
+// sign_zone defers each RRSIG until it is first served; a fresh fixture
+// zone has every signature still pending.
 class SignedZone : public ::testing::Test {
  protected:
   void SetUp() override {
-    zone_ = std::make_unique<Zone>(make_basic_zone());
+    zone_ = std::make_shared<Zone>(make_basic_zone());
     keys_ = make_zone_keys(zone_->origin());
     sign_zone(*zone_, keys_, policy_);
   }
 
-  std::unique_ptr<Zone> zone_;
+  std::shared_ptr<Zone> zone_;
   ZoneKeys keys_;
   SigningPolicy policy_;
 };
@@ -149,10 +153,68 @@ TEST_F(SignedZone, EveryAuthoritativeRrsetIsSigned) {
 }
 
 TEST_F(SignedZone, GlueAndDelegationNsAreNotSigned) {
-  EXPECT_TRUE(
-      zone_->signatures(Name::of("child.example.com"), RRType::NS).empty());
-  EXPECT_TRUE(
-      zone_->signatures(Name::of("ns1.child.example.com"), RRType::A).empty());
+  const auto unsigned_at_cut = [&] {
+    return zone_->signatures(Name::of("child.example.com"), RRType::NS)
+               .empty() &&
+           zone_->signatures(Name::of("ns1.child.example.com"), RRType::A)
+               .empty();
+  };
+  EXPECT_TRUE(unsigned_at_cut());        // signatures still pending
+  EXPECT_GT(zone_->record_count(), 0u);  // materializes them
+  EXPECT_TRUE(unsigned_at_cut());
+}
+
+TEST_F(SignedZone, SignaturesCoverTheContentAtSigningTime) {
+  using ede::dnssec::verify_rrset;
+  const RRset signed_a = *zone_->find(zone_->origin(), RRType::A);
+  zone_->add(zone_->origin(), RRType::A,
+             ARdata{*Ipv4Address::parse("192.0.2.77")});
+  const auto* grown = zone_->find(zone_->origin(), RRType::A);
+  ASSERT_EQ(grown->rdatas.size(), 2u);
+  const auto sigs = zone_->signatures(zone_->origin(), RRType::A);
+  ASSERT_EQ(sigs.size(), 1u);
+  EXPECT_TRUE(verify_rrset(signed_a, sigs.front(), keys_.zsk.dnskey));
+  EXPECT_FALSE(verify_rrset(*grown, sigs.front(), keys_.zsk.dnskey));
+}
+
+TEST_F(SignedZone, ServesTheSameBytesLazilyAndMaterialized) {
+  auto materialized = std::make_shared<Zone>(*zone_);
+  EXPECT_GT(materialized->record_count(), 0u);
+  ede::server::AuthServer lazy_server;
+  lazy_server.add_zone(zone_);
+  ede::server::AuthServer materialized_server;
+  materialized_server.add_zone(materialized);
+  const auto answer = [](const ede::server::AuthServer& server,
+                         const Name& qname, RRType qtype) {
+    Message query = make_query(7, qname, qtype);
+    ede::edns::Edns edns;
+    edns.dnssec_ok = true;
+    edns.udp_payload_size = 0xffff;
+    ede::edns::set_edns(query, edns);
+    return server
+        .handle(query, ede::sim::PacketContext{
+                           ede::sim::NodeAddress::of("192.0.2.100")})
+        .serialize();
+  };
+  // RRSIG questions last: answering one materializes the lazy zone.
+  std::vector<std::pair<Name, RRType>> questions;
+  std::vector<std::pair<Name, RRType>> rrsig_questions;
+  for (const auto& name : materialized->names()) {
+    for (const auto* set : materialized->at(name)) {
+      (set->type == RRType::RRSIG ? rrsig_questions : questions)
+          .emplace_back(name, set->type);
+    }
+  }
+  questions.emplace_back(Name::of("nope.example.com"), RRType::A);
+  questions.emplace_back(Name::of("www.example.com"), RRType::MX);
+  questions.insert(questions.end(), rrsig_questions.begin(),
+                   rrsig_questions.end());
+  for (const auto& [qname, qtype] : questions) {
+    EXPECT_EQ(answer(lazy_server, qname, qtype),
+              answer(materialized_server, qname, qtype))
+        << qname.to_string() << " " << to_string(qtype);
+  }
+  EXPECT_GT(questions.size(), 20u);
 }
 
 TEST_F(SignedZone, SignaturesVerifyUnderTheZoneKeys) {

@@ -18,7 +18,10 @@
 #      and so do the codec suites (name/wire/rdata/message/codec-golden):
 #      the flat Name storage, the writer's open-addressing compression
 #      table, and the reused arenas are exactly the kind of raw-buffer
-#      code where ASan/UBSan earn their keep.
+#      code where ASan/UBSan earn their keep. The zone and scan-world
+#      suites ride along too: a signed zone materializes its pending
+#      signatures under const reads (DESIGN.md §5k), the kind of
+#      lifetime hazard this stage exists for.
 #   5. configure + build a third tree with EDE_TSAN=ON (-fsanitize=thread)
 #      and run the parallel-scan suite under it — proof that the sharded
 #      scan's worker threads share nothing mutable.
@@ -105,13 +108,13 @@ echo "=== [3/13] hardened-warnings build: EDE_WERROR=ON must compile clean ==="
 cmake -B build-werror -S . -DEDE_WERROR=ON >/dev/null
 cmake --build build-werror -j "$JOBS"
 
-echo "=== [4/13] ASan+UBSan build: codec + robustness + chaos + malformed-corpus + parallel-scan + async core ==="
+echo "=== [4/13] ASan+UBSan build: codec + robustness + chaos + malformed-corpus + parallel-scan + async core + zone + scan world ==="
 cmake -B build-asan -S . -DEDE_SANITIZE=ON >/dev/null
 cmake --build build-asan -j "$JOBS" --target test_robustness test_chaos \
   test_malformed_corpus test_parallel_scan test_async_core test_name \
   test_wire test_rdata test_message test_codec_golden test_stream \
-  test_stream_scenarios test_truncation
-ctest --test-dir build-asan --output-on-failure -R 'Robust|Chaos|Malformed|Parallel|ScanMerge|PlanShards|ScannerStride|Name|Wire|Rdata|DecodeRdata|Presentation|TypeBitmap|Message|CodecGolden|Stream|Framing|Truncation|EventScheduler|RetryPolicy|CoalesceKey|AsyncCore'
+  test_stream_scenarios test_truncation test_zone test_scan_world
+ctest --test-dir build-asan --output-on-failure -R 'Robust|Chaos|Malformed|Parallel|ScanMerge|PlanShards|ScannerStride|Name|Wire|Rdata|DecodeRdata|Presentation|TypeBitmap|Message|CodecGolden|Stream|Framing|Truncation|EventScheduler|RetryPolicy|CoalesceKey|AsyncCore|Zone|SignedZone|ScanWorldFixture'
 
 echo "=== [5/13] TSan build: parallel-scan + async-core suites ==="
 cmake -B build-tsan -S . -DEDE_TSAN=ON >/dev/null
