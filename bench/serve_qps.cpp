@@ -38,6 +38,7 @@
 #include <tuple>
 #include <vector>
 
+#include "dnscore/counters.hpp"
 #include "resolver/profile.hpp"
 #include "resolver/resolver.hpp"
 #include "scan/export.hpp"
@@ -128,14 +129,10 @@ PassResult run_pass(const std::string& label,
   const auto wall =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();
-  auto cache_delta = stack.resolver->cache().stats();
-  cache_delta.lookups -= cache_before.lookups;
-  cache_delta.hits -= cache_before.hits;
-  cache_delta.misses -= cache_before.misses;
-  cache_delta.stale_hits -= cache_before.stale_hits;
   PassResult result;
-  result.summary = serve::summarize_run(label, answers,
-                                        stack.frontend->stats(), cache_delta);
+  result.summary = serve::summarize_run(
+      label, answers, stack.frontend->stats(),
+      obs::delta(stack.resolver->cache().stats(), cache_before));
   result.wall_seconds = wall;
   return result;
 }

@@ -8,6 +8,7 @@
 #include <optional>
 #include <vector>
 
+#include "dnscore/counters.hpp"
 #include "dnscore/rr.hpp"
 #include "dnssec/findings.hpp"
 #include "simnet/clock.hpp"
@@ -133,17 +134,19 @@ class Cache {
 
     /// Fold another delta in (scan shards aggregate cache activity this
     /// way; preserves the hits + misses + stale_hits == lookups
-    /// invariant since it holds per shard). S1-checked: every counter
-    /// must be summed here and rendered in a report.
-    void merge(const Stats& other) {
-      lookups += other.lookups;
-      hits += other.hits;
-      misses += other.misses;
-      stale_hits += other.stale_hits;
-      evicted_expired += other.evicted_expired;
-      evicted_capacity += other.evicted_capacity;
-    }
+    /// invariant since it holds per shard).
+    void merge(const Stats& other) { obs::merge(*this, other); }
+
+    static constexpr std::array<obs::Row<Stats>, 6> kCounters{{
+        {"lookups", &Stats::lookups},
+        {"hits", &Stats::hits},
+        {"misses", &Stats::misses},
+        {"stale_hits", &Stats::stale_hits},
+        {"evicted_expired", &Stats::evicted_expired},
+        {"evicted_capacity", &Stats::evicted_capacity},
+    }};
   };
+  static_assert(obs::covers_every_member<Stats>());
   [[nodiscard]] const Stats& stats() const { return stats_; }
 
  private:

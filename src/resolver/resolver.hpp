@@ -14,6 +14,7 @@
 #include <set>
 
 #include "dnscore/arena.hpp"
+#include "dnscore/counters.hpp"
 #include "dnscore/message.hpp"
 #include "dnscore/rdata.hpp"
 #include "dnssec/validate.hpp"
@@ -135,30 +136,32 @@ struct HardeningStats {
   std::uint64_t edns_capability_skips = 0;
 
   /// Fold another tally into this one (shard deltas recombine by plain
-  /// sums). ede_lint's S1 rule holds every counter above to "summed here
-  /// AND surfaced in a report renderer" — adding a counter without
-  /// touching both trips the tree lint.
-  void merge(const HardeningStats& other) {
-    rejected_qid_mismatch += other.rejected_qid_mismatch;
-    rejected_question_mismatch += other.rejected_question_mismatch;
-    rejected_oversize += other.rejected_oversize;
-    scrubbed_records += other.scrubbed_records;
-    coalesced_queries += other.coalesced_queries;
-    servfail_cache_hits += other.servfail_cache_hits;
-    watchdog_trips += other.watchdog_trips;
-    tc_seen += other.tc_seen;
-    tcp_fallbacks += other.tcp_fallbacks;
-    tcp_success += other.tcp_success;
-    tcp_connect_failures += other.tcp_connect_failures;
-    tcp_stream_failures += other.tcp_stream_failures;
-    edns_formerr_seen += other.edns_formerr_seen;
-    edns_badvers_seen += other.edns_badvers_seen;
-    edns_garbled_opt += other.edns_garbled_opt;
-    edns_fallback_probes += other.edns_fallback_probes;
-    edns_degraded_success += other.edns_degraded_success;
-    edns_capability_skips += other.edns_capability_skips;
-  }
+  /// sums).
+  void merge(const HardeningStats& other) { obs::merge(*this, other); }
+
+  /// Keys are the chaos_campaign report's short names (DESIGN.md §5l).
+  static constexpr std::array<obs::Row<HardeningStats>, 18> kCounters{{
+      {"rejected_qid", &HardeningStats::rejected_qid_mismatch},
+      {"rejected_question", &HardeningStats::rejected_question_mismatch},
+      {"rejected_oversize", &HardeningStats::rejected_oversize},
+      {"scrubbed", &HardeningStats::scrubbed_records},
+      {"coalesced", &HardeningStats::coalesced_queries},
+      {"servfail_hits", &HardeningStats::servfail_cache_hits},
+      {"watchdog_trips", &HardeningStats::watchdog_trips},
+      {"tc_seen", &HardeningStats::tc_seen},
+      {"tcp_fallbacks", &HardeningStats::tcp_fallbacks},
+      {"tcp_success", &HardeningStats::tcp_success},
+      {"tcp_connect_failures", &HardeningStats::tcp_connect_failures},
+      {"tcp_stream_failures", &HardeningStats::tcp_stream_failures},
+      {"edns_formerr", &HardeningStats::edns_formerr_seen},
+      {"edns_badvers", &HardeningStats::edns_badvers_seen},
+      {"edns_garbled", &HardeningStats::edns_garbled_opt},
+      {"edns_probes", &HardeningStats::edns_fallback_probes},
+      {"edns_degraded", &HardeningStats::edns_degraded_success},
+      {"edns_skips", &HardeningStats::edns_capability_skips},
+  }};
 };
+static_assert(obs::covers_every_member<HardeningStats>());
 
 /// One queued resolution for RecursiveResolver::resolve_many().
 struct ResolveJob {

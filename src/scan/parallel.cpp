@@ -88,9 +88,7 @@ ParallelScanResult run_parallel_scan(const Population& population,
     }
   }
 
-  out.merged.sample_cap = options.scanner.max_extra_text_samples == 0
-                              ? out.merged.sample_cap
-                              : options.scanner.max_extra_text_samples;
+  out.merged.sample_cap = options.scanner.max_extra_text_samples;
   for (const auto& shard : out.shards) out.merged.merge(shard.result);
   return out;
 }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <map>
 
+#include "dnscore/counters.hpp"
 #include "edns/ede.hpp"
 #include "resolver/resolver.hpp"
 
@@ -148,7 +149,6 @@ ScanResult Scanner::run(resolver::RecursiveResolver& resolver,
 
   const auto& net_after = resolver.network().stats();
   const auto& infra_after = resolver.infra().stats();
-  const auto& cache_after = resolver.cache().stats();
   result.transport.packets_sent =
       net_after.packets_sent - net_before.packets_sent;
   result.transport.retransmits = net_after.retransmits - net_before.retransmits;
@@ -165,59 +165,8 @@ ScanResult Scanner::run(resolver::RecursiveResolver& resolver,
       infra_after.holddowns_started - infra_before.holddowns_started;
   result.transport.edns_broken_learned =
       infra_after.edns_broken_learned - infra_before.edns_broken_learned;
-  const auto& hardening_after = resolver.hardening_stats();
-  result.hardening.rejected_qid_mismatch =
-      hardening_after.rejected_qid_mismatch -
-      hardening_before.rejected_qid_mismatch;
-  result.hardening.rejected_question_mismatch =
-      hardening_after.rejected_question_mismatch -
-      hardening_before.rejected_question_mismatch;
-  result.hardening.rejected_oversize =
-      hardening_after.rejected_oversize - hardening_before.rejected_oversize;
-  result.hardening.scrubbed_records =
-      hardening_after.scrubbed_records - hardening_before.scrubbed_records;
-  result.hardening.coalesced_queries =
-      hardening_after.coalesced_queries - hardening_before.coalesced_queries;
-  result.hardening.servfail_cache_hits =
-      hardening_after.servfail_cache_hits -
-      hardening_before.servfail_cache_hits;
-  result.hardening.watchdog_trips =
-      hardening_after.watchdog_trips - hardening_before.watchdog_trips;
-  result.hardening.tc_seen = hardening_after.tc_seen - hardening_before.tc_seen;
-  result.hardening.tcp_fallbacks =
-      hardening_after.tcp_fallbacks - hardening_before.tcp_fallbacks;
-  result.hardening.tcp_success =
-      hardening_after.tcp_success - hardening_before.tcp_success;
-  result.hardening.tcp_connect_failures =
-      hardening_after.tcp_connect_failures -
-      hardening_before.tcp_connect_failures;
-  result.hardening.tcp_stream_failures =
-      hardening_after.tcp_stream_failures -
-      hardening_before.tcp_stream_failures;
-  result.hardening.edns_formerr_seen =
-      hardening_after.edns_formerr_seen - hardening_before.edns_formerr_seen;
-  result.hardening.edns_badvers_seen =
-      hardening_after.edns_badvers_seen - hardening_before.edns_badvers_seen;
-  result.hardening.edns_garbled_opt =
-      hardening_after.edns_garbled_opt - hardening_before.edns_garbled_opt;
-  result.hardening.edns_fallback_probes =
-      hardening_after.edns_fallback_probes -
-      hardening_before.edns_fallback_probes;
-  result.hardening.edns_degraded_success =
-      hardening_after.edns_degraded_success -
-      hardening_before.edns_degraded_success;
-  result.hardening.edns_capability_skips =
-      hardening_after.edns_capability_skips -
-      hardening_before.edns_capability_skips;
-  result.record_cache.lookups = cache_after.lookups - cache_before.lookups;
-  result.record_cache.hits = cache_after.hits - cache_before.hits;
-  result.record_cache.misses = cache_after.misses - cache_before.misses;
-  result.record_cache.stale_hits =
-      cache_after.stale_hits - cache_before.stale_hits;
-  result.record_cache.evicted_expired =
-      cache_after.evicted_expired - cache_before.evicted_expired;
-  result.record_cache.evicted_capacity =
-      cache_after.evicted_capacity - cache_before.evicted_capacity;
+  result.hardening = obs::delta(resolver.hardening_stats(), hardening_before);
+  result.record_cache = obs::delta(resolver.cache().stats(), cache_before);
   return result;
 }
 

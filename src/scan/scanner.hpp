@@ -11,6 +11,7 @@
 #include <chrono>
 #include <map>
 
+#include "dnscore/counters.hpp"
 #include "resolver/cache.hpp"
 #include "resolver/resolver.hpp"
 #include "scan/world.hpp"
@@ -47,20 +48,22 @@ struct TransportStats {
   /// verdicts learned during the scan; a delta like the holddown pair).
   std::uint64_t edns_broken_learned = 0;
 
-  /// Fold another shard's deltas in (plain sums). S1-checked: every
-  /// counter must be summed here and rendered in a report.
-  void merge(const TransportStats& other) {
-    packets_sent += other.packets_sent;
-    retransmits += other.retransmits;
-    timeouts += other.timeouts;
-    unreachable += other.unreachable;
-    corrupted += other.corrupted;
-    rate_limited += other.rate_limited;
-    holddown_skips += other.holddown_skips;
-    holddowns_started += other.holddowns_started;
-    edns_broken_learned += other.edns_broken_learned;
-  }
+  /// Fold another shard's deltas in (plain sums).
+  void merge(const TransportStats& other) { obs::merge(*this, other); }
+
+  static constexpr std::array<obs::Row<TransportStats>, 9> kCounters{{
+      {"packets_sent", &TransportStats::packets_sent},
+      {"retransmits", &TransportStats::retransmits},
+      {"timeouts", &TransportStats::timeouts},
+      {"unreachable", &TransportStats::unreachable},
+      {"corrupted", &TransportStats::corrupted},
+      {"rate_limited", &TransportStats::rate_limited},
+      {"holddown_skips", &TransportStats::holddown_skips},
+      {"holddowns_started", &TransportStats::holddowns_started},
+      {"edns_broken_learned", &TransportStats::edns_broken_learned},
+  }};
 };
+static_assert(obs::covers_every_member<TransportStats>());
 
 struct ScanResult {
   std::size_t total_domains = 0;

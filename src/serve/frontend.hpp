@@ -12,10 +12,10 @@
 // suppressed, exactly as a real front end absorbs them.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <vector>
 
+#include "dnscore/counters.hpp"
 #include "dnscore/name.hpp"
 #include "dnscore/types.hpp"
 #include "resolver/resolver.hpp"
@@ -85,25 +85,28 @@ struct ServeStats {
 
   /// Fold another run's stats in — counters sum, the wave high-water
   /// mark takes the max (the report's all-runs totals line uses this).
-  /// S1-checked: every counter must be folded here and rendered.
-  void merge(const ServeStats& other) {
-    queries += other.queries;
-    served += other.served;
-    suppressed_retries += other.suppressed_retries;
-    live_retransmits += other.live_retransmits;
-    coalesced += other.coalesced;
-    cache_answered += other.cache_answered;
-    synthesized_answers += other.synthesized_answers;
-    stale_answers += other.stale_answers;
-    stale_nxdomains += other.stale_nxdomains;
-    upstream_queries += other.upstream_queries;
-    prefetch_upstream_queries += other.prefetch_upstream_queries;
-    prefetch_jobs += other.prefetch_jobs;
-    waves += other.waves;
-    busy_virtual_ms += other.busy_virtual_ms;
-    longest_wave_ms = std::max(longest_wave_ms, other.longest_wave_ms);
-  }
+  void merge(const ServeStats& other) { obs::merge(*this, other); }
+
+  /// Keys are the serve report's JSON names.
+  static constexpr std::array<obs::Row<ServeStats>, 15> kCounters{{
+      {"queries", &ServeStats::queries},
+      {"served", &ServeStats::served},
+      {"suppressed_retries", &ServeStats::suppressed_retries},
+      {"live_retransmits", &ServeStats::live_retransmits},
+      {"coalesced", &ServeStats::coalesced},
+      {"cache_answered", &ServeStats::cache_answered},
+      {"synthesized_answers", &ServeStats::synthesized_answers},
+      {"stale_answers", &ServeStats::stale_answers},
+      {"stale_nxdomains", &ServeStats::stale_nxdomains},
+      {"upstream_queries", &ServeStats::upstream_queries},
+      {"prefetch_upstream_queries", &ServeStats::prefetch_upstream_queries},
+      {"prefetch_jobs", &ServeStats::prefetch_jobs},
+      {"waves", &ServeStats::waves},
+      {"busy_virtual_ms", &ServeStats::busy_virtual_ms},
+      {"longest_wave_ms", &ServeStats::longest_wave_ms, obs::Fold::Max},
+  }};
 };
+static_assert(obs::covers_every_member<ServeStats>());
 
 class FrontEnd {
  public:

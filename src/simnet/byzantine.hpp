@@ -161,8 +161,7 @@ struct ByzantineStats {
   }
 
   /// Fold another tally in (the chaos campaign sums per-seed stats into
-  /// campaign-wide totals). S1-checked like every merge-bearing stats
-  /// struct: counters must be summed here and rendered in a report.
+  /// campaign-wide totals).
   void merge(const ByzantineStats& other) {
     exchanges_seen += other.exchanges_seen;
     mutations_applied += other.mutations_applied;

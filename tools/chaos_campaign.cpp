@@ -60,6 +60,7 @@
 #include <string>
 
 #include "crypto/rng.hpp"
+#include "dnscore/counters.hpp"
 #include "edns/ede.hpp"
 #include "resolver/profile.hpp"
 #include "resolver/resolver.hpp"
@@ -692,7 +693,7 @@ int run_campaign(const CampaignOptions& options) {
         const auto qname = testbed.query_name(spec);
         const resolver::HardeningStats before = resolver.hardening_stats();
         const auto outcome = resolver.resolve(qname, dns::RRType::A);
-        const resolver::HardeningStats after = resolver.hardening_stats();
+        const auto step = obs::delta(resolver.hardening_stats(), before);
         ++resolutions;
         std::ostringstream where;
         where << "seed=" << seed << " profile=" << profile.name
@@ -726,10 +727,7 @@ int run_campaign(const CampaignOptions& options) {
         // Invariant 5: a TC bit followed by a failed stream retry must
         // never present as a silent success — and the profiles that map
         // the transport defects must say why (EDE 22 or 23).
-        const std::uint64_t tc_delta = after.tc_seen - before.tc_seen;
-        const std::uint64_t success_delta =
-            after.tcp_success - before.tcp_success;
-        if (tc_delta > 0 && success_delta == 0) {
+        if (step.tc_seen > 0 && step.tcp_success == 0) {
           if (outcome.rcode == dns::RCode::NOERROR) {
             violations.push_back(
                 {where.str(), "silent NOERROR after a failed DoTCP fallback"});
@@ -792,25 +790,8 @@ int run_campaign(const CampaignOptions& options) {
       }
       json << "}, \"upstream\": " << pass.upstream_queries
            << ", \"max_upstream\": " << pass.max_upstream_queries;
-      const auto& h = pass.hardening;
-      json << ", \"hardening\": {\"rejected_qid\": " << h.rejected_qid_mismatch
-           << ", \"rejected_question\": " << h.rejected_question_mismatch
-           << ", \"rejected_oversize\": " << h.rejected_oversize
-           << ", \"scrubbed\": " << h.scrubbed_records
-           << ", \"coalesced\": " << h.coalesced_queries
-           << ", \"servfail_hits\": " << h.servfail_cache_hits
-           << ", \"watchdog_trips\": " << h.watchdog_trips
-           << ", \"tc_seen\": " << h.tc_seen
-           << ", \"tcp_fallbacks\": " << h.tcp_fallbacks
-           << ", \"tcp_success\": " << h.tcp_success
-           << ", \"tcp_connect_failures\": " << h.tcp_connect_failures
-           << ", \"tcp_stream_failures\": " << h.tcp_stream_failures
-           << ", \"edns_formerr\": " << h.edns_formerr_seen
-           << ", \"edns_badvers\": " << h.edns_badvers_seen
-           << ", \"edns_garbled\": " << h.edns_garbled_opt
-           << ", \"edns_probes\": " << h.edns_fallback_probes
-           << ", \"edns_degraded\": " << h.edns_degraded_success
-           << ", \"edns_skips\": " << h.edns_capability_skips << "}";
+      json << ", \"hardening\": ";
+      obs::write_json(json, pass.hardening);
       const auto& b = pass.byzantine;
       json << ", \"byzantine\": {\"exchanges\": " << b.exchanges_seen
            << ", \"mutations\": " << b.mutations_applied << ", \"by_kind\": {";

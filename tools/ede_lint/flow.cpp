@@ -112,7 +112,6 @@ std::vector<FunctionDef> extract_functions(const SourceFile& file) {
     std::string name;
     int line = 0;
     std::size_t paren = 0;
-    std::size_t name_at = 0;
 
     if (is_ident(toks[i], "operator")) {
       // operator<puncts>(…)  /  operator()(…)  /  operator <type-ident>(…)
@@ -137,13 +136,11 @@ std::vector<FunctionDef> extract_functions(const SourceFile& file) {
       name = "operator" + op;
       line = toks[i].line;
       paren = k2;
-      name_at = i;
     } else if (toks[i].kind == Tok::Ident && !is_cpp_keyword(toks[i].text) &&
                is_punct(toks[i + 1], "(")) {
       name = toks[i].text;
       line = toks[i].line;
       paren = i + 1;
-      name_at = i;
     } else {
       continue;
     }
@@ -206,13 +203,6 @@ std::vector<FunctionDef> extract_functions(const SourceFile& file) {
     fn.line = line;
     fn.body_begin = k;
     fn.body_end = match_forward(toks, k, "{", "}");
-    while (name_at >= 2 && is_punct(toks[name_at - 1], "::") &&
-           toks[name_at - 2].kind == Tok::Ident) {
-      fn.qualifier = fn.qualifier.empty()
-                         ? toks[name_at - 2].text
-                         : toks[name_at - 2].text + "::" + fn.qualifier;
-      name_at -= 2;
-    }
     parse_params(toks, paren, close, fn.params);
     for (std::size_t j = fn.body_begin + 1; j < fn.body_end; ++j) {
       const Token& t = toks[j];

@@ -1,8 +1,7 @@
 // ede_lint flow layer (DESIGN.md §5j): function definitions with
 // brace-matched body extents, parameter shapes, coroutine suspension
 // points, and named by-reference lambdas. This is the substrate for the
-// C1 coroutine-safety family and for matching out-of-line / free
-// `merge`/`operator+=` definitions back to their stats struct for S1.
+// C1 coroutine-safety family.
 #pragma once
 
 #include <string>
@@ -17,7 +16,7 @@ struct ParamDecl {
   int line = 0;
   bool by_ref = false;    // declarator carries a top-level '&' or '&&'
   bool is_view = false;   // type spells string_view / span / BytesView
-  std::string type_text;  // space-joined tokens before the name (for S1)
+  std::string type_text;  // space-joined identifiers of the declaration
 };
 
 /// A named lambda bound inside a function body: `auto f = [&...](...){...}`.
@@ -30,7 +29,6 @@ struct LambdaDef {
 
 struct FunctionDef {
   std::string name;       // "resolve_flow", "merge", "operator+=", ...
-  std::string qualifier;  // "RecursiveResolver" for an out-of-line member
   int line = 0;
   std::vector<ParamDecl> params;
   std::size_t body_begin = 0;  // token index of the body '{'

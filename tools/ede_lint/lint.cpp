@@ -148,9 +148,7 @@ bool collect_files(const Options& options, const Config& config,
 
   // Preload the rest of src/, bench/, and tools/ so the cross-file
   // indices (unordered container names, Result/Task-returning functions,
-  // include graph, S1's renderer member-access union) are complete even
-  // for a partial lint — several aggregate counters are rendered only by
-  // the benchmarks' JSON emitters.
+  // include graph) are complete even for a partial lint.
   for (const char* dir : {"src", "bench", "tools"}) {
     std::error_code ec;
     if (fs::is_directory(root / dir, ec))
@@ -370,7 +368,7 @@ void print_json(const LintResult& result, std::ostream& out) {
   // shape), families a fixture invents are merged in sorted order.
   std::map<std::string, std::pair<std::size_t, std::size_t>> families{
       {"C1", {0, 0}}, {"D1", {0, 0}}, {"E1", {0, 0}},
-      {"H1", {0, 0}}, {"S1", {0, 0}}, {"W1", {0, 0}}};
+      {"H1", {0, 0}}, {"W1", {0, 0}}};
   for (const Finding& f : result.fresh) ++families[f.rule].first;
   for (const Finding& f : result.baselined) ++families[f.rule].second;
 

@@ -7,7 +7,6 @@
 #include <iterator>
 #include <thread>
 
-#include "decls.hpp"
 #include "flow.hpp"
 #include "token_util.hpp"
 
@@ -670,107 +669,6 @@ void check_c1(const SourceFile& file, const std::vector<FunctionDef>& fns,
   }
 }
 
-// --- S1: stats-merge completeness (decl layer, DESIGN.md §5j) -----------
-
-/// Per-file structural facts, computed in the (parallel) per-file pass and
-/// consumed by the global S1 cross-check.
-struct FileStructure {
-  std::vector<StructDecl> structs;
-  std::vector<FunctionDef> functions;
-  std::set<std::string> member_access;  // idents reached via '.' or '->'
-};
-
-/// Files whose member accesses count as "rendered" for S1: the report/CSV
-/// emitters plus everything under bench/ (several aggregate counters are
-/// only surfaced by the benchmarks' JSON).
-bool is_renderer_file(const std::string& rel) {
-  return is_emitter_file(rel) || starts_with(rel, "bench/");
-}
-
-std::set<std::string> collect_member_access(const Tokens& toks) {
-  std::set<std::string> out;
-  for (std::size_t i = 1; i < toks.size(); ++i) {
-    if (toks[i].kind != Tok::Ident) continue;
-    const bool dot = is_punct(toks[i - 1], ".");
-    const bool arrow = i >= 2 && is_punct(toks[i - 1], ">") &&
-                       is_punct(toks[i - 2], "-");
-    if (dot || arrow) out.insert(toks[i].text);
-  }
-  return out;
-}
-
-bool type_mentions(const std::string& type_text, const std::string& name) {
-  const std::string padded = " " + type_text + " ";
-  return padded.find(" " + name + " ") != std::string::npos;
-}
-
-void check_s1(const std::vector<SourceFile>& files,
-              const std::vector<FileStructure>& structure,
-              const Config& config, std::vector<Finding>& out) {
-  std::set<std::string> rendered;
-  for (std::size_t i = 0; i < files.size(); ++i)
-    if (is_renderer_file(files[i].rel))
-      rendered.insert(structure[i].member_access.begin(),
-                      structure[i].member_access.end());
-
-  for (std::size_t i = 0; i < files.size(); ++i) {
-    const SourceFile& file = files[i];
-    if (!file.analyze || config.ignored(file.rel)) continue;
-    if (!starts_with(file.rel, "src/")) continue;
-    for (const StructDecl& s : structure[i].structs) {
-      bool has_merge = s.has_merge_member;
-      std::set<std::string> used;
-      for (const auto& [b, e] : s.merge_bodies)
-        for (std::size_t k = b; k < e; ++k)
-          if (file.lex.tokens[k].kind == Tok::Ident)
-            used.insert(file.lex.tokens[k].text);
-      // Out-of-line member definitions and free merge/operator+= overloads
-      // anywhere in the project, matched by qualifier or parameter type.
-      for (std::size_t j = 0; j < files.size(); ++j) {
-        // Inline merge members also surface as unqualified FunctionDefs;
-        // their bodies are already owned by their struct's merge_bodies,
-        // and matching them by parameter type here would make every
-        // same-named struct in the project qualify (e.g. each nested
-        // `Stats`). Skip any function whose body a struct has claimed.
-        std::set<std::size_t> member_bodies;
-        for (const StructDecl& other : structure[j].structs)
-          for (const auto& [b, e] : other.merge_bodies) member_bodies.insert(b);
-        for (const FunctionDef& fn : structure[j].functions) {
-          if (fn.name != "merge" && fn.name != "operator+=") continue;
-          if (member_bodies.count(fn.body_begin + 1) != 0) continue;
-          bool matches = !fn.qualifier.empty() &&
-                         (fn.qualifier == s.qualified ||
-                          fn.qualifier == s.name);
-          if (!matches && fn.qualifier.empty()) {
-            for (const ParamDecl& p : fn.params)
-              if (type_mentions(p.type_text, s.name)) matches = true;
-          }
-          if (!matches) continue;
-          has_merge = true;
-          const Tokens& jt = files[j].lex.tokens;
-          for (std::size_t k = fn.body_begin + 1; k < fn.body_end; ++k)
-            if (jt[k].kind == Tok::Ident) used.insert(jt[k].text);
-        }
-      }
-      if (!has_merge || s.fields.empty()) continue;
-      for (const FieldDecl& f : s.fields) {
-        if (used.count(f.name) == 0) {
-          emit(out, config, "S1", file.rel, f.line, f.name,
-               "counter '" + s.qualified + "::" + f.name +
-                   "' is not referenced in the struct's merge — shard "
-                   "aggregation silently drops it");
-        }
-        if (rendered.count(f.name) == 0) {
-          emit(out, config, "S1", file.rel, f.line, f.name,
-               "counter '" + s.qualified + "::" + f.name +
-                   "' never appears in a report renderer — it is counted "
-                   "but never surfaced");
-        }
-      }
-    }
-  }
-}
-
 }  // namespace
 
 bool Config::allows(const Finding& finding) const {
@@ -859,25 +757,19 @@ std::vector<Finding> run_rules(const std::vector<SourceFile>& files,
                                const Config& config, unsigned jobs) {
   const std::size_t n = files.size();
   std::vector<std::vector<Finding>> slots(n);
-  std::vector<FileStructure> structure(n);
 
-  // Per-file pass: structural extraction plus every per-file rule family.
-  // Findings land in the file's own slot, so the final order (global sort
-  // below) is identical for every jobs value.
+  // Per-file pass: every rule family. Findings land in the file's own
+  // slot, so the final order (global sort below) is identical for every
+  // jobs value.
   const auto work_one = [&](std::size_t i) {
     const SourceFile& file = files[i];
-    FileStructure& fs = structure[i];
-    fs.structs = index_structs(file);
-    fs.functions = extract_functions(file);
-    if (is_renderer_file(file.rel))
-      fs.member_access = collect_member_access(file.lex.tokens);
     if (!file.analyze || config.ignored(file.rel)) return;
     std::vector<Finding>& out = slots[i];
     check_d1(file, index, config, out);
     check_w1(file, index, config, out);
     check_e1(file, config, out);
     check_h1(file, config, out);
-    check_c1(file, fs.functions, index, config, out);
+    check_c1(file, extract_functions(file), index, config, out);
   };
 
   if (jobs <= 1 || n < 2) {
@@ -898,10 +790,6 @@ std::vector<Finding> run_rules(const std::vector<SourceFile>& files,
   for (std::vector<Finding>& slot : slots)
     findings.insert(findings.end(), std::make_move_iterator(slot.begin()),
                     std::make_move_iterator(slot.end()));
-  // S1 is a cross-file pass: it needs every struct, merge body, and
-  // renderer member-access set at once.
-  check_s1(files, structure, config, findings);
-
   std::sort(findings.begin(), findings.end());
   findings.erase(std::unique(findings.begin(), findings.end(),
                              [](const Finding& a, const Finding& b) {

@@ -17,9 +17,6 @@
 //                     by-reference lambdas must not be used after a
 //                     suspension point; Task values must be awaited,
 //                     stored, or handed to the scheduler (flow layer).
-//   S1 merge-completeness — every counter field of a stats struct with a
-//                     merge()/operator+= must be referenced in the merge
-//                     body and touched by a report renderer (decl layer).
 #pragma once
 
 #include <map>
@@ -32,7 +29,7 @@
 namespace ede::lint {
 
 struct Finding {
-  std::string rule;     // "D1" | "W1" | "E1" | "H1" | "C1" | "S1"
+  std::string rule;     // "D1" | "W1" | "E1" | "H1" | "C1"
   std::string file;     // repo-relative path (virtual path for fixtures)
   int line = 0;
   std::string token;    // the offending identifier, for allow-list matching

@@ -4,8 +4,8 @@
 #      (which includes the ede_lint self-test + whole-tree scan)
 #   2. static analysis: tools/ede_lint fixture self-test, then the
 #      whole-tree scan (determinism / wire-safety / EDE-registry /
-#      hygiene / coroutine-lifetime / stats-merge rules; see DESIGN.md
-#      §5e and §5j) — zero new findings required. Exit codes are
+#      hygiene / coroutine-lifetime rules; see DESIGN.md §5e and §5j)
+#      — zero new findings required. Exit codes are
 #      three-valued and this stage tells them apart: 1 means findings,
 #      2 means the lint itself broke (I/O or config-parse error)
 #   3. hardened-warnings build: a separate tree with EDE_WERROR=ON
@@ -21,7 +21,9 @@
 #      code where ASan/UBSan earn their keep. The zone and scan-world
 #      suites ride along too: a signed zone materializes its pending
 #      signatures under const reads (DESIGN.md §5k), the kind of
-#      lifetime hazard this stage exists for.
+#      lifetime hazard this stage exists for. So does the counter-group
+#      suite: merge, delta and write_json reach every counter through a
+#      member pointer (DESIGN.md §5l).
 #   5. configure + build a third tree with EDE_TSAN=ON (-fsanitize=thread)
 #      and run the parallel-scan suite under it — proof that the sharded
 #      scan's worker threads share nothing mutable.
@@ -67,7 +69,7 @@
 #      enforced by stage 2's whole-tree scan and exercised by the
 #      e1_bad_fallback fixture in its self-test.
 #  12. flow-aware lint determinism (DESIGN.md §5j): the full tree scan
-#      again with the C1/S1 families — through the same three-valued
+#      again with the C1 family — through the same three-valued
 #      exit handling — plus the --jobs byte-stability contract: JSON
 #      reports (which carry per-family counts) from --jobs 1 and
 #      --jobs 4 runs must be byte-identical, re-checked here on top of
@@ -108,13 +110,14 @@ echo "=== [3/13] hardened-warnings build: EDE_WERROR=ON must compile clean ==="
 cmake -B build-werror -S . -DEDE_WERROR=ON >/dev/null
 cmake --build build-werror -j "$JOBS"
 
-echo "=== [4/13] ASan+UBSan build: codec + robustness + chaos + malformed-corpus + parallel-scan + async core + zone + scan world ==="
+echo "=== [4/13] ASan+UBSan build: codec + robustness + chaos + malformed-corpus + parallel-scan + async core + zone + scan world + counters ==="
 cmake -B build-asan -S . -DEDE_SANITIZE=ON >/dev/null
 cmake --build build-asan -j "$JOBS" --target test_robustness test_chaos \
   test_malformed_corpus test_parallel_scan test_async_core test_name \
   test_wire test_rdata test_message test_codec_golden test_stream \
-  test_stream_scenarios test_truncation test_zone test_scan_world
-ctest --test-dir build-asan --output-on-failure -R 'Robust|Chaos|Malformed|Parallel|ScanMerge|PlanShards|ScannerStride|Name|Wire|Rdata|DecodeRdata|Presentation|TypeBitmap|Message|CodecGolden|Stream|Framing|Truncation|EventScheduler|RetryPolicy|CoalesceKey|AsyncCore|Zone|SignedZone|ScanWorldFixture'
+  test_stream_scenarios test_truncation test_zone test_scan_world \
+  test_counters
+ctest --test-dir build-asan --output-on-failure -R 'Robust|Chaos|Malformed|Parallel|ScanMerge|PlanShards|ScannerStride|Name|Wire|Rdata|DecodeRdata|Presentation|TypeBitmap|Message|CodecGolden|Stream|Framing|Truncation|EventScheduler|RetryPolicy|CoalesceKey|AsyncCore|Zone|SignedZone|ScanWorldFixture|Counters'
 
 echo "=== [5/13] TSan build: parallel-scan + async-core suites ==="
 cmake -B build-tsan -S . -DEDE_TSAN=ON >/dev/null
@@ -233,9 +236,9 @@ cmp build-asan/chaos_edns_a.json build-asan/chaos_edns_b.json \
   || { echo "hostile-EDNS campaign report is not byte-reproducible" >&2; exit 1; }
 echo "edns zoo: calibrated tables hold under ASan, campaign byte-reproducible"
 
-echo "=== [12/13] flow-aware lint: tree scan with C1/S1 + --jobs byte-stability ==="
-# Full tree again (C1/S1 run as part of every scan — this stage exists so
-# a verify run exercises them explicitly), then the determinism contract
+echo "=== [12/13] flow-aware lint: tree scan with C1 + --jobs byte-stability ==="
+# Full tree again (C1 runs as part of every scan — this stage exists so
+# a verify run exercises it explicitly), then the determinism contract
 # the linter holds itself to: JSON output, including the per-family
 # counts, must be byte-identical between a serial and a parallel run.
 lint_status=0
