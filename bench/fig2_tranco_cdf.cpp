@@ -36,8 +36,7 @@ int main(int argc, char** argv) {
   std::printf("scanning %zu domains...\n\n", population.domains.size());
   const auto scan = ede::scan::run_parallel_scan(
       population, ede::resolver::profile_cloudflare(), options);
-  std::fputs(ede::scan::render_figure2(scan.merged, population).c_str(),
-             stdout);
+  std::fputs(ede::scan::render_figure2(scan.merged).c_str(), stdout);
   std::printf("\n%s", ede::scan::render_shard_summary(scan).c_str());
   if (ede::scan::write_file("fig2_tranco_cdf.csv",
                             ede::scan::figure2_csv(scan.merged))) {

@@ -277,7 +277,7 @@ KeyTrustResult validate_zone_keys(const dns::Name& zone,
                       " is unassigned");
       continue;
     }
-    if (config.supported_digest_types.count(ds.digest_type) == 0) {
+    if (default_supported_digest_types().count(ds.digest_type) == 0) {
       add_finding(result.findings, Stage::DsLookup,
                   Defect::DsUnsupportedDigestType,
                   "DS digest type " + digest_type_name(ds.digest_type) +

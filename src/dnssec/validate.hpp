@@ -19,8 +19,6 @@ namespace ede::dnssec {
 
 struct ValidatorConfig {
   std::set<std::uint8_t> supported_algorithms = default_supported_algorithms();
-  std::set<std::uint8_t> supported_digest_types =
-      default_supported_digest_types();
   /// Above this, the zone is treated as insecure (RFC 9276 §3.2).
   std::uint16_t nsec3_iteration_limit = kHardMaxIterations;
 };

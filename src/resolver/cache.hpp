@@ -45,14 +45,15 @@ struct ServfailEntry {
   sim::SimTime expires = 0;
 };
 
+/// RFC 2308 cap on SERVFAIL caching: how long a cached SERVFAIL holds.
+inline constexpr sim::SimTime kServfailTtl = 30;
+
 class Cache {
  public:
   struct Options {
     bool enabled = true;
     /// How long past expiry an entry may still be served stale.
     sim::SimTime stale_window = 86'400 * 7;
-    /// RFC 2308 cap on SERVFAIL caching.
-    sim::SimTime servfail_ttl = 30;
     /// Entry cap per map. An insert at the cap first sweeps entries that
     /// are beyond any usefulness (expired longer than the stale window
     /// ago), then evicts oldest-expiring entries in a small batch — live

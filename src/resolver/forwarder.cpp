@@ -141,8 +141,7 @@ dns::Message Forwarder::handle(const dns::Message& query) {
         cache_.put_positive(std::move(entry), now);
       }
     } else if (response.header.rcode == dns::RCode::SERVFAIL) {
-      cache_.put_servfail(q.qname, q.qtype,
-                          {{}, now + cache_.options().servfail_ttl}, now);
+      cache_.put_servfail(q.qname, q.qtype, {{}, now + kServfailTtl}, now);
     }
     return response;
   }

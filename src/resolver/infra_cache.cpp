@@ -4,6 +4,26 @@
 
 namespace ede::resolver {
 
+namespace {
+
+/// EWMA weight of the newest sample: srtt = (1-a)*srtt + a*rtt
+/// (BIND smooths with ~0.3; Unbound keeps an RTT band per host).
+constexpr double kSrttAlpha = 0.3;
+/// Consecutive timeouts before an address is held down (Unbound
+/// probes a host a few times before marking it down).
+constexpr int kHolddownAfter = 3;
+/// How long a held-down address is skipped without probing
+/// (Unbound's infra-host TTL is 15 minutes).
+constexpr std::uint32_t kHolddownMs = 900'000;
+/// Ceiling for the failure backoff applied to srtt (Unbound caps its
+/// RTO backoff at 120 s).
+constexpr double kMaxBackoffRttMs = 120'000.0;
+/// Assumed RTT of a server that just failed with no history
+/// (Unbound's UNKNOWN_SERVER_NICENESS, 376 ms).
+constexpr double kUnknownRttMs = 376.0;
+
+}  // namespace
+
 InfraCache::Entry& InfraCache::entry_for(const sim::NodeAddress& address) {
   if (entries_.size() >= options_.max_entries &&
       entries_.find(address) == entries_.end()) {
@@ -20,8 +40,8 @@ void InfraCache::report_success(const sim::NodeAddress& address,
   if (entry.successes == 0 && entry.failures == 0) {
     entry.srtt_ms = static_cast<double>(rtt_ms);
   } else {
-    entry.srtt_ms = (1.0 - options_.srtt_alpha) * entry.srtt_ms +
-                    options_.srtt_alpha * static_cast<double>(rtt_ms);
+    entry.srtt_ms = (1.0 - kSrttAlpha) * entry.srtt_ms +
+                    kSrttAlpha * static_cast<double>(rtt_ms);
   }
   ++entry.successes;
   entry.consecutive_timeouts = 0;
@@ -39,13 +59,12 @@ void InfraCache::report_failure(const sim::NodeAddress& address,
   // Exponential RTT backoff: a flaky server's SRTT shows it even before
   // it earns a hold-down.
   entry.srtt_ms = entry.srtt_ms <= 0.0
-                      ? options_.unknown_rtt_ms
-                      : std::min(entry.srtt_ms * 2.0,
-                                 options_.max_backoff_rtt_ms);
+                      ? kUnknownRttMs
+                      : std::min(entry.srtt_ms * 2.0, kMaxBackoffRttMs);
   ++entry.consecutive_timeouts;
-  if (entry.consecutive_timeouts >= options_.holddown_after &&
+  if (entry.consecutive_timeouts >= kHolddownAfter &&
       entry.hold_until_ms <= now_ms) {
-    entry.hold_until_ms = now_ms + options_.holddown_ms;
+    entry.hold_until_ms = now_ms + kHolddownMs;
     ++stats_.holddowns_started;
   }
 }

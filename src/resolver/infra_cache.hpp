@@ -35,21 +35,6 @@ class InfraCache {
  public:
   struct Options {
     bool enabled = true;
-    /// EWMA weight of the newest sample: srtt = (1-a)*srtt + a*rtt
-    /// (BIND smooths with ~0.3; Unbound keeps an RTT band per host).
-    double srtt_alpha = 0.3;
-    /// Consecutive timeouts before an address is held down (Unbound
-    /// probes a host a few times before marking it down).
-    int holddown_after = 3;
-    /// How long a held-down address is skipped without probing
-    /// (Unbound's infra-host TTL is 15 minutes).
-    std::uint32_t holddown_ms = 900'000;
-    /// Ceiling for the failure backoff applied to srtt (Unbound caps its
-    /// RTO backoff at 120 s).
-    double max_backoff_rtt_ms = 120'000.0;
-    /// Assumed RTT of a server that just failed with no history
-    /// (Unbound's UNKNOWN_SERVER_NICENESS, 376 ms).
-    double unknown_rtt_ms = 376.0;
     /// Coarse eviction cap, like the answer cache's.
     std::size_t max_entries = 65'536;
   };

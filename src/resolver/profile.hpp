@@ -38,22 +38,16 @@ enum class Vendor {
 };
 
 /// The EDNS probe-and-fallback "dance" (RFC 6891 §6.2.2): how a vendor
-/// reacts to an authority that mishandles the OPT pseudo-record. Two
-/// documented styles exist in the wild — BIND probes and retries plain DNS
-/// the moment it sees an explicit EDNS rejection, while Unbound is
-/// timeout-driven and only downgrades after repeated silence. Both then
-/// remember the verdict per server address (BIND's ADB EDNS flags,
-/// Unbound's infra-cache edns_state) for a bounded time. Calibrated
-/// per vendor in the .cpp; see DESIGN.md §5i.
+/// reacts to an authority that mishandles the OPT pseudo-record. Every
+/// profile retries the same server without EDNS the moment it sees an
+/// explicit rejection — FORMERR (the pre-EDNS-server reply, RFC 6891 §7),
+/// BADVERS to version 0, or a garbled or duplicated OPT (RFC 6891 §6.1.1
+/// allows exactly one). Vendors differ on silence: Unbound-style
+/// profiles also downgrade after repeated timeouts. All then remember the
+/// verdict per server address (BIND's ADB EDNS flags, Unbound's
+/// infra-cache edns_state) for a bounded time. Calibrated per vendor in
+/// the .cpp; see DESIGN.md §5i.
 struct EdnsDancePolicy {
-  /// Retry the same server without EDNS after it answers FORMERR to a
-  /// query carrying OPT (the pre-EDNS-server reply, RFC 6891 §7).
-  bool downgrade_on_formerr = true;
-  /// Retry the same server without EDNS after BADVERS to version 0.
-  bool downgrade_on_badvers = true;
-  /// Retry without EDNS when the response's OPT is garbled (undecodable
-  /// rdata tail) or duplicated (RFC 6891 §6.1.1 allows exactly one).
-  bool downgrade_on_garbled = true;
   /// Consecutive EDNS timeouts against one server before the downgrade
   /// latch flips — the Unbound-style timeout-driven downgrade. Equal to
   /// the retry policy's attempts_per_server it fires exactly at server

@@ -1,7 +1,6 @@
 #include "resolver/resolver.hpp"
 
 #include <algorithm>
-#include <limits>
 #include <queue>
 
 #include "crypto/encoding.hpp"
@@ -10,6 +9,7 @@
 #include "edns/edns.hpp"
 #include "edns/report_channel.hpp"
 #include "resolver/infra_cache.hpp"
+#include "resolver/retry.hpp"
 #include "resolver/scrub.hpp"
 #include "simnet/stream.hpp"
 
@@ -380,38 +380,32 @@ RecursiveResolver::query_servers_uncoalesced(
       // ---- EDNS probe-and-fallback (RFC 6891 §6.2.2) -----------------
       // An explicit rejection of the OPT record — FORMERR from a server
       // that predates EDNS, BADVERS to version 0 — or an OPT that comes
-      // back garbled or duplicated triggers the vendor's documented
-      // dance: drop EDNS and retry the same server immediately with
+      // back garbled or duplicated triggers the dance every profile
+      // performs: drop EDNS and retry the same server immediately with
       // plain DNS. The retry does not consume a UDP attempt (it is the
       // probe half of probe-and-fallback, bounded to one by the latch),
       // and the verdict is remembered per address so later resolutions
       // skip the dance until the re-probe TTL expires.
       if (use_edns && !edns_downgraded) {
-        const auto& dance = profile_.edns_dance;
         std::string why;
         auto defect = Defect::EdnsFormerr;
-        if (parsed.value().header.rcode == dns::RCode::FORMERR &&
-            dance.downgrade_on_formerr) {
+        if (parsed.value().header.rcode == dns::RCode::FORMERR) {
           why = ":53 rcode=FORMERR to an EDNS query for ";
           defect = Defect::EdnsFormerr;
           ++hardening_.edns_formerr_seen;
-        } else if (parsed.value().header.rcode == dns::RCode::BADVERS &&
-                   dance.downgrade_on_badvers) {
+        } else if (parsed.value().header.rcode == dns::RCode::BADVERS) {
           why = ":53 rcode=BADVERS for ";
           defect = Defect::EdnsBadvers;
           ++hardening_.edns_badvers_seen;
-        } else if (dance.downgrade_on_garbled &&
-                   edns::opt_count(parsed.value()) > 1) {
+        } else if (edns::opt_count(parsed.value()) > 1) {
           why = ":53 sent duplicate OPT records for ";
           defect = Defect::EdnsGarbled;
           ++hardening_.edns_garbled_opt;
-        } else if (dance.downgrade_on_garbled) {
-          if (const auto got = edns::get_edns(parsed.value());
-              got.has_value() && got->garbled()) {
-            why = ":53 sent a garbled OPT for ";
-            defect = Defect::EdnsGarbled;
-            ++hardening_.edns_garbled_opt;
-          }
+        } else if (const auto got = edns::get_edns(parsed.value());
+                   got.has_value() && got->garbled()) {
+          why = ":53 sent a garbled OPT for ";
+          defect = Defect::EdnsGarbled;
+          ++hardening_.edns_garbled_opt;
         }
         if (!why.empty()) {
           add_finding(result.findings, Stage::Transport, defect,
@@ -420,7 +414,8 @@ RecursiveResolver::query_servers_uncoalesced(
           edns_downgraded = true;
           ctx.edns_self_plain.insert(server);
           infra_.report_edns_broken(server, network_->clock().now_ms(),
-                                    dance.capability_ttl_ms, ctx.id);
+                                    profile_.edns_dance.capability_ttl_ms,
+                                    ctx.id);
           continue;
         }
       }
@@ -466,9 +461,7 @@ RecursiveResolver::query_servers_uncoalesced(
     // authority to assert, before anything downstream can interpret or
     // cache them. On the clean path every record is in bailiwick and this
     // is a no-op (asserted by the scan-throughput perf gate).
-    if (options_.scrub_responses) {
-      hardening_.scrubbed_records += scrub_out_of_bailiwick(response, zone);
-    }
+    hardening_.scrubbed_records += scrub_out_of_bailiwick(response, zone);
 
     switch (response.header.rcode) {
       case dns::RCode::REFUSED:
@@ -715,7 +708,7 @@ sim::Task<std::vector<sim::NodeAddress>> RecursiveResolver::resolve_ns_addresses
     ResolutionContext& ctx, std::vector<dns::Name> ns_names, int depth,
     std::vector<Finding>& findings, int& upstream_queries) {
   std::vector<sim::NodeAddress> out;
-  if (depth >= options_.max_ns_resolution_depth) co_return out;
+  if (depth >= kMaxNsResolutionDepth) co_return out;
   for (const auto& ns : ns_names) {
     auto sub = co_await resolve_internal(ctx, ns, dns::RRType::A, depth + 1);
     upstream_queries += sub.upstream_queries;
@@ -744,11 +737,9 @@ sim::Task<Outcome> RecursiveResolver::resolve_flow(ResolutionContext& ctx,
   // and the attempt counter is the effective bound. The coalescing memo
   // lives in ctx, so it is born empty and dies with this resolution (a
   // server dead now may be back later).
-  ctx.budget.attempts_left = retry_.max_total_attempts;
+  ctx.budget.attempts_left = RetryPolicy::max_total_attempts;
   ctx.budget.deadline_ms =
-      retry_.total_budget_ms == 0
-          ? std::numeric_limits<sim::SimTimeMs>::max()
-          : network_->clock().now_ms() + retry_.total_budget_ms;
+      network_->clock().now_ms() + RetryPolicy::total_budget_ms;
   Outcome outcome = co_await resolve_internal(ctx, qname, qtype, 0);
   annotate(outcome);
 
@@ -1060,17 +1051,13 @@ sim::Task<Outcome> RecursiveResolver::resolve_internal(ResolutionContext& ctx,
         }
       }
     }
-    cache_.put_servfail(qname, qtype,
-                        {outcome.findings,
-                         now + cache_.options().servfail_ttl},
+    cache_.put_servfail(qname, qtype, {outcome.findings, now + kServfailTtl},
                         now);
     return finish(dns::RCode::SERVFAIL, Security::Indeterminate);
   };
 
   const auto fail_bogus = [&]() -> Outcome {
-    cache_.put_servfail(qname, qtype,
-                        {outcome.findings,
-                         now + cache_.options().servfail_ttl},
+    cache_.put_servfail(qname, qtype, {outcome.findings, now + kServfailTtl},
                         now);
     return finish(dns::RCode::SERVFAIL, Security::Bogus);
   };
@@ -1120,7 +1107,7 @@ sim::Task<Outcome> RecursiveResolver::resolve_internal(ResolutionContext& ctx,
     return name.suffix(labels);
   };
 
-  for (int hop = 0; hop < options_.max_referrals; ++hop) {
+  for (int hop = 0; hop < kMaxReferrals; ++hop) {
     dns::Name query_name = target;
     dns::RRType query_type = qtype;
     if (options_.qname_minimization) {
@@ -1356,14 +1343,12 @@ sim::Task<Outcome> RecursiveResolver::resolve_internal(ResolutionContext& ctx,
 
     if (rrset == nullptr && cname != nullptr && qtype != dns::RRType::CNAME) {
       step.note = "CNAME";
-      if (++cname_hops > options_.max_cname_chain) {
+      if (++cname_hops > kMaxCnameChain) {
         add_finding(outcome.findings, Stage::Transport,
                     Defect::IterationLimitExceeded,
                     "iteration limit exceeded");
         cache_.put_servfail(qname, qtype,
-                            {outcome.findings,
-                             now + cache_.options().servfail_ttl},
-                            now);
+                            {outcome.findings, now + kServfailTtl}, now);
         co_return finish(dns::RCode::SERVFAIL, Security::Indeterminate);
       }
       Security security = Security::Insecure;
@@ -1428,9 +1413,8 @@ sim::Task<Outcome> RecursiveResolver::resolve_internal(ResolutionContext& ctx,
 
   add_finding(outcome.findings, Stage::Transport,
               Defect::IterationLimitExceeded, "iteration limit exceeded");
-  cache_.put_servfail(
-      qname, qtype,
-      {outcome.findings, now + cache_.options().servfail_ttl}, now);
+  cache_.put_servfail(qname, qtype, {outcome.findings, now + kServfailTtl},
+                      now);
   co_return finish(dns::RCode::SERVFAIL, Security::Indeterminate);
 }
 

@@ -37,11 +37,16 @@ struct PolicyRule {
   std::string reason;  // EXTRA-TEXT material
 };
 
+/// Upstream rounds one resolution may take (each referral, CNAME restart
+/// and the final answer is one) before it ends SERVFAIL with
+/// IterationLimitExceeded.
+inline constexpr int kMaxReferrals = 24;
+/// CNAMEs one resolution may follow.
+inline constexpr int kMaxCnameChain = 8;
+/// Depth limit for resolving out-of-bailiwick nameserver names.
+inline constexpr int kMaxNsResolutionDepth = 3;
+
 struct ResolverOptions {
-  int max_referrals = 24;
-  int max_cname_chain = 8;
-  /// Depth limit for resolving out-of-bailiwick nameserver names.
-  int max_ns_resolution_depth = 3;
   Cache::Options cache;
   bool serve_stale = true;
   /// Ablation knob: probe every nameserver instead of stopping at the
@@ -76,10 +81,6 @@ struct ResolverOptions {
   /// Infrastructure cache (per-nameserver SRTT, hold-down of known-dead
   /// servers). `infra.enabled = false` restores probe-every-time.
   InfraCache::Options infra;
-  /// Bailiwick scrubbing (Unbound-scrubber style): drop records owned
-  /// outside the zone the queried servers speak for before the response is
-  /// interpreted or cached. Off only for ablation studies.
-  bool scrub_responses = true;
   /// In-flight query coalescing: within one top-level resolution, a
   /// (zone, qname, qtype) probe that already failed is answered from the
   /// memoized failure instead of stampeding the same dying servers again

@@ -25,10 +25,10 @@ struct RetryPolicy {
   int attempts_per_server = 2;
   /// Hard per-resolution budget on upstream queries, shared across every
   /// delegation level and nameserver-address sub-resolution.
-  int max_total_attempts = 128;
+  static constexpr int max_total_attempts = 128;
   /// Per-resolution wall budget on the simulated clock. Only bites when
   /// the network's latency model is enabled (otherwise waits are free).
-  std::uint32_t total_budget_ms = 60'000;
+  static constexpr std::uint32_t total_budget_ms = 60'000;
 
   // --- DoTCP fallback budget (RFC 7766) ------------------------------
   // A TC=1 response switches the query to the stream transport, which

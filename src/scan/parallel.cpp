@@ -52,7 +52,7 @@ ParallelScanResult run_parallel_scan(const Population& population,
       }
       ScanWorld world(network, population);
       auto resolver = world.make_resolver(profile, options.resolver);
-      if (options.prewarm) world.prewarm(resolver, plan.begin, plan.end);
+      world.prewarm(resolver, plan.begin, plan.end);
 
       ShardOutcome& slot = out.shards[index];
       slot.shard_id = plan.shard_id;
@@ -88,7 +88,6 @@ ParallelScanResult run_parallel_scan(const Population& population,
     }
   }
 
-  out.merged.sample_cap = options.scanner.max_extra_text_samples;
   for (const auto& shard : out.shards) out.merged.merge(shard.result);
   return out;
 }

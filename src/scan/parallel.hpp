@@ -36,9 +36,6 @@ struct ParallelScanOptions {
   std::uint64_t base_seed = sim::LatencyModel{}.seed;
   Scanner::Options scanner;
   resolver::ResolverOptions resolver;
-  /// Install the pre-scan cache entries (stale answers, cached SERVFAILs)
-  /// for each shard's slice before scanning it.
-  bool prewarm = true;
   /// Optional latency model installed on every shard's network (the seed
   /// is overridden with the shard's derived seed so jitter streams stay
   /// independently reproducible, like the transport RNG). With latency on
@@ -50,7 +47,7 @@ struct ParallelScanOptions {
 struct ShardOutcome {
   std::size_t shard_id = 0;
   std::size_t first_domain = 0;
-  std::size_t domain_count = 0;  // population slots covered (pre-stride)
+  std::size_t domain_count = 0;  // population slots covered
   ScanResult result;
 };
 

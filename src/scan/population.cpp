@@ -10,6 +10,9 @@ namespace ede::scan {
 
 namespace {
 
+constexpr std::size_t kGtldCount = 200;
+constexpr std::size_t kCctldCount = 100;
+
 constexpr const char* kGtldSeeds[] = {
     "com",   "net",    "org",   "info",  "biz",   "online", "shop",
     "site",  "store",  "tech",  "xyz",   "top",   "club",   "dev",
@@ -24,15 +27,15 @@ constexpr const char* kCctldSeeds[] = {"de", "uk", "nl", "fr", "se", "nu",
 std::vector<TldInfo> make_tlds(const PopulationConfig& config,
                                crypto::Xoshiro256& rng) {
   std::vector<TldInfo> tlds;
-  tlds.reserve(config.gtld_count + config.cctld_count);
-  for (std::size_t i = 0; i < config.gtld_count; ++i) {
+  tlds.reserve(kGtldCount + kCctldCount);
+  for (std::size_t i = 0; i < kGtldCount; ++i) {
     TldInfo tld;
     tld.name = i < std::size(kGtldSeeds) ? kGtldSeeds[i]
                                          : "gtld" + std::to_string(i);
     tld.is_cc = false;
     tlds.push_back(std::move(tld));
   }
-  for (std::size_t i = 0; i < config.cctld_count; ++i) {
+  for (std::size_t i = 0; i < kCctldCount; ++i) {
     TldInfo tld;
     if (i < std::size(kCctldSeeds)) {
       tld.name = kCctldSeeds[i];
@@ -59,7 +62,7 @@ std::vector<TldInfo> make_tlds(const PopulationConfig& config,
   std::vector<double> weights(tlds.size());
   for (std::size_t i = 0; i < tlds.size(); ++i) {
     const double rank = static_cast<double>(
-        tlds[i].is_cc ? (i - config.gtld_count) * 2 + 3 : i + 1);
+        tlds[i].is_cc ? (i - kGtldCount) * 2 + 3 : i + 1);
     weights[i] = 1.0 / rank;
   }
   const double total_weight =
@@ -151,7 +154,7 @@ Population generate_population(const PopulationConfig& config) {
     if (entry.category == Category::Healthy) continue;
     const auto scaled = static_cast<std::size_t>(
         std::llround(entry.paper_count * config.scale()));
-    const std::size_t quota = std::max(scaled, config.min_category_count);
+    const std::size_t quota = std::max(scaled, kMinCategoryCount);
     quotas.emplace_back(entry.category, quota);
     bad_total += quota;
   }
@@ -285,9 +288,9 @@ Population generate_population(const PopulationConfig& config) {
 
   // Tranco ranks (Figure 2): EDE-triggering domains carry a rank with the
   // paper's marking probability (split by eventual RCODE so the 22.1 k /
-  // 12.2 k-NOERROR structure reproduces), times the configured boost.
-  const double p_noerror = 0.0034 * config.tranco_boost;
-  const double p_servfail = 0.0007 * config.tranco_boost;
+  // 12.2 k-NOERROR structure reproduces), times kTrancoBoost.
+  const double p_noerror = 0.0034 * kTrancoBoost;
+  const double p_servfail = 0.0007 * kTrancoBoost;
   for (auto& domain : population.domains) {
     if (domain.category == Category::Healthy) continue;
     const double p = resolves_noerror(domain.category) ? p_noerror

@@ -18,19 +18,18 @@
 
 namespace ede::scan {
 
+/// Rare categories are floored to this count so every §4.2 row appears
+/// even at small scale (reported alongside the scale factor).
+inline constexpr std::size_t kMinCategoryCount = 2;
+/// Tranco ranks are assigned with the paper's marking probability times
+/// this boost so the Figure 2 CDF has enough points at reduced scale; the
+/// report divides the overlap back out.
+inline constexpr double kTrancoBoost = 10.0;
+
 struct PopulationConfig {
   /// Number of registered domains to scan. 303'000 is 1/1000 of the paper.
   std::size_t total_domains = 303'000;
   std::uint64_t seed = 42;
-  std::size_t gtld_count = 200;
-  std::size_t cctld_count = 100;
-  /// Rare categories are floored to this count so every §4.2 row appears
-  /// even at small scale (reported alongside the scale factor).
-  std::size_t min_category_count = 2;
-  /// Tranco ranks are assigned with the paper's marking probability times
-  /// this boost (default 10) so the Figure 2 CDF has enough points at
-  /// reduced scale; the report divides the overlap back out.
-  double tranco_boost = 10.0;
 
   [[nodiscard]] double scale() const {
     return static_cast<double>(total_domains) / 303e6;

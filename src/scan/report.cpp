@@ -317,14 +317,12 @@ std::string render_figure1(const ScanResult& result,
   return out.str();
 }
 
-std::string render_figure2(const ScanResult& result,
-                           const Population& population) {
+std::string render_figure2(const ScanResult& result) {
   std::ostringstream out;
   out << "== Figure 2 — EDE-triggering domains across the Tranco top 1M ==\n";
-  const double boost = population.config.tranco_boost;
   out << "ranked EDE-triggering domains : " << result.tranco_hits.size()
-      << " (boost x" << boost << " -> unboosted ~"
-      << static_cast<double>(result.tranco_hits.size()) / boost
+      << " (boost x" << kTrancoBoost << " -> unboosted ~"
+      << static_cast<double>(result.tranco_hits.size()) / kTrancoBoost
       << "; paper: 22.1k of 1M)\n";
   std::size_t noerror = 0;
   for (const auto& hit : result.tranco_hits) noerror += hit.noerror ? 1 : 0;

@@ -22,8 +22,7 @@ namespace ede::scan {
                                          const Population& population);
 
 /// Figure 2: CDF of EDE-triggering domains across Tranco ranks.
-[[nodiscard]] std::string render_figure2(const ScanResult& result,
-                                         const Population& population);
+[[nodiscard]] std::string render_figure2(const ScanResult& result);
 
 /// Sharded-scan throughput: one row per worker (domains, wall/sim time,
 /// rate) plus the merged end-to-end rate and the parallel speedup over

@@ -9,6 +9,14 @@
 
 namespace ede::scan {
 
+namespace {
+
+/// EXTRA-TEXT samples kept per code. Merge re-applies the cap, so merged
+/// shards keep the samples a sequential scan would.
+constexpr std::size_t kMaxExtraTextSamples = 3;
+
+}  // namespace
+
 void ScanResult::merge(const ScanResult& other) {
   total_domains += other.total_domains;
   domains_with_ede += other.domains_with_ede;
@@ -20,7 +28,7 @@ void ScanResult::merge(const ScanResult& other) {
     auto& mine = per_code[code];
     mine.domains += stats.domains;
     for (const auto& text : stats.sample_extra_text) {
-      if (mine.sample_extra_text.size() >= sample_cap) break;
+      if (mine.sample_extra_text.size() >= kMaxExtraTextSamples) break;
       mine.sample_extra_text.push_back(text);
     }
   }
@@ -53,7 +61,6 @@ ScanResult Scanner::run(resolver::RecursiveResolver& resolver,
                         const Population& population, std::size_t begin,
                         std::size_t end) const {
   ScanResult result;
-  result.sample_cap = options_.max_extra_text_samples;
   result.per_tld.resize(population.tlds.size());
   end = std::min(end, population.domains.size());
 
@@ -88,7 +95,7 @@ ScanResult Scanner::run(resolver::RecursiveResolver& resolver,
       auto& stats = result.per_code[code];
       stats.domains += 1;
       if (!error.extra_text.empty() &&
-          stats.sample_extra_text.size() < options_.max_extra_text_samples) {
+          stats.sample_extra_text.size() < kMaxExtraTextSamples) {
         stats.sample_extra_text.push_back(error.extra_text);
       }
       result.codes_by_category[domain.category][code] += 1;
@@ -102,11 +109,6 @@ ScanResult Scanner::run(resolver::RecursiveResolver& resolver,
     }
   };
 
-  // First index in [begin, end) on the global stride grid.
-  std::size_t first = begin;
-  if (const auto offset = begin % options_.stride; offset != 0)
-    first = begin + (options_.stride - offset);
-
   // Queue every domain of this shard and let resolve_many multiplex up to
   // `inflight` of them over one scheduler. Outcomes arrive in completion
   // order, so each waits in `pending` until every earlier domain has
@@ -118,8 +120,8 @@ ScanResult Scanner::run(resolver::RecursiveResolver& resolver,
     int upstream_queries = 0;
   };
   std::vector<resolver::ResolveJob> jobs;
-  if (first < end) jobs.reserve((end - first - 1) / options_.stride + 1);
-  for (std::size_t i = first; i < end; i += options_.stride) {
+  if (begin < end) jobs.reserve(end - begin);
+  for (std::size_t i = begin; i < end; ++i) {
     jobs.push_back({dns::Name::of(population.domains[i].fqdn),
                     dns::RRType::A});
   }
@@ -134,9 +136,8 @@ ScanResult Scanner::run(resolver::RecursiveResolver& resolver,
         for (auto it = pending.begin();
              it != pending.end() && it->first == next_fold;
              it = pending.erase(it), ++next_fold) {
-          fold(population.domains[first + next_fold * options_.stride],
-               it->second.rcode, it->second.errors,
-               it->second.upstream_queries);
+          fold(population.domains[begin + next_fold], it->second.rcode,
+               it->second.errors, it->second.upstream_queries);
         }
       });
   result.max_in_flight = engine.max_in_flight;

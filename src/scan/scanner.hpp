@@ -98,8 +98,6 @@ struct ScanResult {
   /// inflight 1). A load observation like wall_seconds — merge takes the
   /// max, and it is excluded from shard/inflight-equivalence comparisons.
   std::size_t max_in_flight = 0;
-  /// Cap on sample_extra_text per code, carried so merge can re-apply it.
-  std::size_t sample_cap = 3;
 
   /// Fold `other` into this result. Associative, and for contiguous
   /// shards merged in population order the aggregate is identical to a
@@ -118,10 +116,6 @@ struct ScanResult {
 class Scanner {
  public:
   struct Options {
-    std::size_t max_extra_text_samples = 3;
-    /// Scan only every Nth domain (quick smoke runs); 1 = everything.
-    /// Clamped to >= 1 (a zero stride used to loop forever).
-    std::size_t stride = 1;
     /// Resolutions multiplexed over the resolver's event scheduler: the
     /// shard is one RecursiveResolver::resolve_many batch, so every
     /// resolution's timeline is rebased to the batch epoch and sees only
@@ -133,7 +127,6 @@ class Scanner {
   };
 
   explicit Scanner(Options options) : options_(options) {
-    if (options_.stride == 0) options_.stride = 1;
     if (options_.inflight == 0) options_.inflight = 1;
   }
   Scanner() : Scanner(Options{}) {}
@@ -143,9 +136,7 @@ class Scanner {
     return run(resolver, population, 0, population.domains.size());
   }
 
-  /// Scan the contiguous shard [begin, end) of the population. The stride
-  /// grid is anchored at index 0 globally, so sharded strided scans visit
-  /// exactly the indices a sequential strided scan would.
+  /// Scan the contiguous shard [begin, end) of the population.
   [[nodiscard]] ScanResult run(resolver::RecursiveResolver& resolver,
                                const Population& population,
                                std::size_t begin, std::size_t end) const;

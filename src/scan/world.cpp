@@ -605,7 +605,7 @@ void ScanWorld::prewarm(resolver::RecursiveResolver& resolver,
     } else if (domain.category == Category::CachedError) {
       resolver.cache().put_servfail(
           dns::Name::of(domain.fqdn), dns::RRType::A,
-          {{}, now + resolver.cache().options().servfail_ttl}, now);
+          {{}, now + resolver::kServfailTtl}, now);
     }
   }
 }

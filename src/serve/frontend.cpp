@@ -5,8 +5,6 @@
 #include <map>
 #include <utility>
 
-#include "dnscore/arena.hpp"
-#include "dnscore/message.hpp"
 #include "dnssec/findings.hpp"
 #include "resolver/cache.hpp"
 #include "resolver/resolver.hpp"
@@ -17,6 +15,8 @@ namespace {
 
 constexpr sim::SimTimeMs kUnanswered =
     std::numeric_limits<sim::SimTimeMs>::max();
+/// Prefetch cap per wave, so a mass expiry cannot starve client traffic.
+constexpr std::size_t kPrefetchMaxPerWave = 128;
 
 void note_findings(const resolver::Outcome& outcome, ClientAnswer& answer,
                    ServeStats& stats) {
@@ -50,7 +50,8 @@ void FrontEnd::run_prefetch(sim::SimTimeMs epoch) {
   if (!options_.prefetch) return;
   auto& cache = resolver_.cache();
   const sim::SimTime now = network_.clock().now();
-  const auto expiring = cache.expiring_within(options_.prefetch_horizon_ms, now);
+  const auto expiring =
+      cache.expiring_within(FrontEndOptions::prefetch_horizon_ms, now);
   if (expiring.empty()) return;
 
   // Candidates are (estimate desc, canonical key) — expiring_within()
@@ -65,8 +66,7 @@ void FrontEnd::run_prefetch(sim::SimTimeMs epoch) {
   }
   std::stable_sort(ranked.begin(), ranked.end(),
                    [](const auto& a, const auto& b) { return a.first > b.first; });
-  if (ranked.size() > options_.prefetch_max_per_wave)
-    ranked.resize(options_.prefetch_max_per_wave);
+  if (ranked.size() > kPrefetchMaxPerWave) ranked.resize(kPrefetchMaxPerWave);
   if (ranked.empty()) return;
 
   std::vector<resolver::ResolveJob> jobs;
@@ -182,26 +182,6 @@ std::vector<ClientAnswer> FrontEnd::serve(const StubTrace& trace) {
 
   network_.clock().set_ms(base + last_wave_end);
   return answers;
-}
-
-void FrontEnd::attach(const sim::NodeAddress& address) {
-  network_.attach(address, [this](crypto::BytesView wire,
-                                  const sim::PacketContext&)
-                              -> std::optional<crypto::Bytes> {
-    dns::Message query;
-    if (!dns::Message::parse_into(wire, query)) return std::nullopt;
-    if (query.header.qr || query.question.size() != 1) return std::nullopt;
-    const dns::Question& question = query.question.front();
-    auto outcome =
-        resolver_.resolve(question.qname, question.qtype);
-    dns::Message response = std::move(outcome.response);
-    response.header.id = query.header.id;
-    response.header.qr = true;
-    response.header.rd = query.header.rd;
-    response.header.ra = true;
-    response.question.assign(1, question);
-    return response.serialize();
-  });
 }
 
 }  // namespace ede::serve

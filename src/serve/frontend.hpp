@@ -34,11 +34,9 @@ struct FrontEndOptions {
   /// Expiring-popular-name prefetch (the cache-hit-rate optimization).
   bool prefetch = true;
   /// Refresh records expiring within this horizon of the wave epoch.
-  sim::SimTimeMs prefetch_horizon_ms = 30'000;
+  static constexpr sim::SimTimeMs prefetch_horizon_ms = 30'000;
   /// Minimum decayed sketch estimate for a name to earn a refresh.
   std::uint32_t prefetch_min_popularity = 4;
-  /// Cap per wave so a mass expiry cannot starve client traffic.
-  std::size_t prefetch_max_per_wave = 128;
   PopularitySketch::Options sketch;
 };
 
@@ -118,12 +116,6 @@ class FrontEnd {
   /// boundary. Deterministic for a fixed (trace, options, world) — and
   /// per-client rcode/EDE outcomes are invariant under `inflight`.
   std::vector<ClientAnswer> serve(const StubTrace& trace);
-
-  /// Simnet endpoint plumbing: attach at `address` and answer one-shot
-  /// RD=1 wire queries through resolve() (a one-job batch), with the full
-  /// EDE-annotated response message on the wire. Lets other simulated
-  /// nodes use this front end as their recursive.
-  void attach(const sim::NodeAddress& address);
 
   [[nodiscard]] const ServeStats& stats() const { return stats_; }
   [[nodiscard]] const FrontEndOptions& options() const { return options_; }

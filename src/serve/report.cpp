@@ -131,7 +131,7 @@ std::string render_serve_json(const ServeReportDoc& doc) {
       << "    \"duration_ms\": " << doc.stub.duration_ms << ",\n"
       << "    \"nxdomain_fraction\": " << rate4(doc.stub.nxdomain_fraction)
       << ",\n"
-      << "    \"zipf_exponent\": " << rate4(doc.stub.zipf_exponent) << ",\n"
+      << "    \"zipf_exponent\": " << rate4(kZipfExponent) << ",\n"
       << "    \"seed\": " << doc.stub.seed << ",\n"
       << "    \"inflight\": " << doc.inflight << ",\n"
       << "    \"wave_ms\": " << doc.wave_ms << "\n  },\n"

@@ -20,9 +20,6 @@ namespace ede::serve {
 class PopularitySketch {
  public:
   struct Options {
-    std::uint32_t rows = 4;
-    /// Cells per row; rounded up to a power of two.
-    std::uint32_t cols = 8'192;
     /// Serving ticks between halvings (the decay half-life, in waves).
     std::uint32_t decay_interval = 64;
   };
@@ -45,7 +42,6 @@ class PopularitySketch {
                                  std::uint32_t row) const;
 
   Options options_;
-  std::uint32_t mask_ = 0;       // cols - 1 (power of two)
   std::uint32_t tick_count_ = 0;
   std::vector<std::uint32_t> cells_;  // rows × cols, row-major
 };

@@ -19,8 +19,7 @@ StubTrace generate_stub_trace(const scan::Population& population,
   std::vector<double> cumulative(n);
   double total = 0.0;
   for (std::size_t i = 0; i < n; ++i) {
-    total += 1.0 / std::pow(static_cast<double>(i + 1),
-                            options.zipf_exponent);
+    total += 1.0 / std::pow(static_cast<double>(i + 1), kZipfExponent);
     cumulative[i] = total;
   }
 

@@ -20,6 +20,10 @@
 
 namespace ede::serve {
 
+/// Zipf popularity exponent over the domain population, most-popular
+/// first (1.0 is the classic web-traffic fit).
+inline constexpr double kZipfExponent = 1.0;
+
 struct StubOptions {
   /// Modeled stub clients behind this resolver (hundreds of thousands per
   /// core is the production shape; each costs one id per query).
@@ -28,9 +32,6 @@ struct StubOptions {
   std::uint32_t queries = 120'000;
   /// Virtual-time span the arrivals are spread over.
   sim::SimTimeMs duration_ms = 1'500'000;
-  /// Zipf popularity exponent over the domain population, most-popular
-  /// first (1.0 is the classic web-traffic fit).
-  double zipf_exponent = 1.0;
   /// Fraction of queries aimed at nonexistent labels under an existing
   /// (Zipf-sampled) domain — the typo traffic RFC 8198 aggressive
   /// negative caching feeds on.

@@ -169,10 +169,7 @@ dns::Message AuthServer::handle(const dns::Message& query,
         !edns.has_value()
             ? std::uint16_t{512}
             : std::max<std::uint16_t>(edns->udp_payload_size, 512);
-    const std::uint16_t limit =
-        config_.edns_truncate_at.has_value()
-            ? *config_.edns_truncate_at
-            : std::min(advertised, config_.udp_payload_size);
+    const std::uint16_t limit = std::min(advertised, config_.udp_payload_size);
     if (arena_.serialized_size(response) > limit) {
       response.header.tc = true;
       const auto drop_one = [](std::vector<dns::ResourceRecord>& section) {

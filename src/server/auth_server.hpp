@@ -60,9 +60,6 @@ struct ServerConfig {
   /// Garble the OPT rdata: append an option header that declares more
   /// payload than the record carries.
   bool edns_garble = false;
-  /// Lie about buffer sizes: truncate any UDP response larger than this,
-  /// regardless of what the client advertised (spurious TC).
-  std::optional<std::uint16_t> edns_truncate_at;
 };
 
 class AuthServer {

@@ -348,7 +348,9 @@ void Testbed::build_edns_family(zone::Zone& base_zone) {
         config.edns_badvers = true;
         break;
       case EdnsFault::BufferLie:
-        config.edns_truncate_at = 512;
+        // Advertised sizes never go below 512, so the server truncates at
+        // 512 whatever the client offered.
+        config.udp_payload_size = 512;
         break;
       case EdnsFault::GarbleOptRdata:
         config.edns_garble = true;

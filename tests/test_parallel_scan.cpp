@@ -1,7 +1,7 @@
 // Sharded parallel-scan tests: the merge invariant (an N-shard scan
 // aggregates byte-identically to the sequential scan), merge
 // associativity, shard planning, per-shard seed derivation and the
-// stride-zero regression. This suite is also what the TSan verify stage
+// inflight-zero clamp. This suite is also what the TSan verify stage
 // runs to prove the workers share nothing mutable.
 #include <gtest/gtest.h>
 
@@ -330,18 +330,6 @@ TEST(ParallelScan, SimClockTimingIsDeterministic) {
   EXPECT_DOUBLE_EQ(first.merged.sim_seconds, second.merged.sim_seconds);
 }
 
-TEST(ParallelScan, StridedShardsMatchTheStridedSequentialScan) {
-  const auto population = generate_population(tiny_config());
-  const auto profile = resolver::profile_cloudflare();
-  ParallelScanOptions options;
-  options.scanner.stride = 3;
-  options.shards = 1;
-  const auto one = run_parallel_scan(population, profile, options);
-  options.shards = 4;
-  const auto four = run_parallel_scan(population, profile, options);
-  expect_same_aggregates(four.merged, one.merged);
-}
-
 TEST(ParallelScan, RendersAShardSummary) {
   const auto population = generate_population(tiny_config());
   ParallelScanOptions options;
@@ -354,7 +342,7 @@ TEST(ParallelScan, RendersAShardSummary) {
   EXPECT_NE(summary.find("occupancy"), std::string::npos);
 }
 
-TEST(ScannerStride, ZeroStrideIsClampedAndTerminates) {
+TEST(ScannerInflight, ZeroInflightIsClampedToOneSerialBatch) {
   auto config = tiny_config();
   config.total_domains = 300;
   const auto population = generate_population(config);
@@ -365,8 +353,7 @@ TEST(ScannerStride, ZeroStrideIsClampedAndTerminates) {
   world.prewarm(resolver);
 
   Scanner::Options options;
-  options.stride = 0;  // used to spin forever in Scanner::run
-  options.inflight = 0;  // clamped the same way, to one serial batch
+  options.inflight = 0;  // clamped to one serial batch
   const auto result = Scanner(options).run(resolver, population);
   EXPECT_EQ(result.total_domains, population.domains.size());
   EXPECT_EQ(result.max_in_flight, 1u);

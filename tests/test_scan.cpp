@@ -42,8 +42,7 @@ TEST(Population, EveryCategoryIsRepresented) {
   const auto population = generate_population(small_config());
   for (const auto& entry : category_table()) {
     if (entry.category == Category::Healthy) continue;
-    EXPECT_GE(population.count(entry.category),
-              small_config().min_category_count)
+    EXPECT_GE(population.count(entry.category), kMinCategoryCount)
         << entry.name;
   }
 }
@@ -304,7 +303,7 @@ TEST(ScanReport, RenderersProduceTheExpectedSections) {
   const auto f1 = render_figure1(result, population);
   EXPECT_NE(f1.find("gTLDs with zero misconfigured domains"),
             std::string::npos);
-  const auto f2 = render_figure2(result, population);
+  const auto f2 = render_figure2(result);
   EXPECT_NE(f2.find("Tranco"), std::string::npos);
 }
 

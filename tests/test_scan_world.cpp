@@ -216,9 +216,7 @@ TEST_F(ScanWorldFixture, ProviderPoolsAreBoundedAndDisjoint) {
 TEST_F(ScanWorldFixture, CsvExportsAreWellFormed) {
   auto resolver = world_.make_resolver(resolver::profile_cloudflare());
   world_.prewarm(resolver);
-  Scanner::Options options;
-  options.stride = 5;  // fast partial scan is enough for shape checks
-  const auto result = Scanner(options).run(resolver, population_);
+  const auto result = Scanner{}.run(resolver, population_);
 
   const auto s42 = section42_csv(result, population_);
   EXPECT_EQ(s42.rfind("code,name,measured,scaled_up", 0), 0u);
@@ -231,14 +229,6 @@ TEST_F(ScanWorldFixture, CsvExportsAreWellFormed) {
 
   const auto f2 = figure2_csv(result);
   EXPECT_EQ(f2.rfind("rank,cdf,noerror_share", 0), 0u);
-}
-
-TEST_F(ScanWorldFixture, ScannerStrideScansEveryNth) {
-  auto resolver = world_.make_resolver(resolver::profile_cloudflare());
-  Scanner::Options options;
-  options.stride = 10;
-  const auto result = Scanner(options).run(resolver, population_);
-  EXPECT_EQ(result.total_domains, (population_.domains.size() + 9) / 10);
 }
 
 }  // namespace

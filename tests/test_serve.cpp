@@ -10,6 +10,7 @@
 #include <set>
 
 #include "dnscore/message.hpp"
+#include "resolver/forwarder.hpp"
 #include "resolver/resolver.hpp"
 #include "scan/world.hpp"
 #include "serve/frontend.hpp"
@@ -127,7 +128,7 @@ struct ServingStack {
   std::shared_ptr<sim::Clock> clock;
   std::shared_ptr<sim::Network> network;
   std::unique_ptr<scan::ScanWorld> world;
-  std::unique_ptr<resolver::RecursiveResolver> resolver;
+  std::shared_ptr<resolver::RecursiveResolver> resolver;
 };
 
 ServingStack make_stack(const scan::Population& population,
@@ -147,7 +148,7 @@ ServingStack make_stack(const scan::Population& population,
   resolver::ResolverOptions options;
   options.serve_stale = true;
   options.aggressive_nsec_caching = true;
-  stack.resolver = std::make_unique<resolver::RecursiveResolver>(
+  stack.resolver = std::make_shared<resolver::RecursiveResolver>(
       stack.world->make_resolver(resolver::profile_reference(), options));
   return stack;
 }
@@ -226,12 +227,14 @@ TEST(FrontEnd, PrefetchRunsOffTheClientPath) {
   EXPECT_GT(stats.upstream_queries, 0u);
 }
 
+// The serving stack's resolver on the wire, through the same endpoint a
+// forwarder's upstream uses.
 TEST(FrontEnd, AttachAnswersWireQueriesWithEde) {
   const auto population = small_population();
   auto stack = make_stack(population, /*seed=*/11);
-  serve::FrontEnd frontend(*stack.resolver, *stack.network, {});
   const auto address = sim::NodeAddress::of("9.9.9.9");
-  frontend.attach(address);
+  stack.network->attach(address,
+                        resolver::make_resolver_endpoint(stack.resolver));
 
   // A healthy name resolves NOERROR over the wire with the id echoed.
   const scan::DomainSpec* healthy = nullptr;
@@ -258,6 +261,7 @@ TEST(FrontEnd, AttachAnswersWireQueriesWithEde) {
   ASSERT_EQ(response.question.size(), 1u);
   EXPECT_EQ(response.question.front().qname, dns::Name::of(healthy->fqdn));
   EXPECT_FALSE(response.answer.empty());
+  stack.network->detach(address);  // the endpoint holds the resolver
 }
 
 }  // namespace

@@ -105,30 +105,6 @@ bool owned_by_marker(const std::vector<dns::ResourceRecord>& section) {
   return false;
 }
 
-/// The hostile-TCP pass forces every child answer onto the stream: an
-/// honest truncation of whatever the server really said — TC set, answer
-/// and authority shed whole, OPT kept so the counts keep matching the
-/// records — exactly what a stingy-but-truthful authority produces.
-sim::ResponseMutator make_honest_tc_mutator() {
-  return [](crypto::BytesView, crypto::Bytes response,
-            sim::MutateContext& ctx) -> std::optional<crypto::Bytes> {
-    auto parsed = dns::Message::parse(response);
-    if (!parsed.ok()) return response;
-    dns::Message message = std::move(parsed).take();
-    if (message.answer.empty() && message.authority.empty()) {
-      return response;  // nothing to shed: referrals pass untouched
-    }
-    message.header.tc = true;
-    message.answer.clear();
-    message.authority.clear();
-    std::erase_if(message.additional, [](const dns::ResourceRecord& rr) {
-      return rr.type != dns::RRType::OPT;
-    });
-    ctx.mutated = true;
-    return message.serialize();
-  };
-}
-
 /// Deterministic hostile-stream schedule for one case: which way the TCP
 /// side dies, how often, and (sometimes) for how long.
 std::vector<sim::StreamBehavior> draw_stream_schedule(
@@ -681,7 +657,12 @@ int run_campaign(const CampaignOptions& options) {
       for (const auto& spec : cases) {
         const auto address = testbed.server_address(spec.label);
         if (!address.has_value()) continue;
-        network->set_mutator(*address, make_honest_tc_mutator());
+        // Every child answer goes to the stream: an honest truncation of
+        // whatever the server really said (TC set, answer and authority
+        // shed whole, OPT kept), which is the buffer lie at probability 1.
+        network->set_mutator(
+            *address, sim::make_byzantine_mutator(
+                          {sim::ByzantineBehavior::edns_buffer_lie()}, 0));
         network->stream().set_behaviors(
             *address, draw_stream_schedule(schedule_rng, pass_start));
       }

@@ -23,7 +23,9 @@
 #      signatures under const reads (DESIGN.md §5k), the kind of
 #      lifetime hazard this stage exists for. So does the counter-group
 #      suite: merge, delta and write_json reach every counter through a
-#      member pointer (DESIGN.md §5l).
+#      member pointer (DESIGN.md §5l). So do the resolver-cap tests:
+#      they drive nested coroutine resolutions, a glueless nameserver
+#      look-up inside a look-up (DESIGN.md §5g).
 #   5. configure + build a third tree with EDE_TSAN=ON (-fsanitize=thread)
 #      and run the parallel-scan suite under it — proof that the sharded
 #      scan's worker threads share nothing mutable.
@@ -110,20 +112,20 @@ echo "=== [3/13] hardened-warnings build: EDE_WERROR=ON must compile clean ==="
 cmake -B build-werror -S . -DEDE_WERROR=ON >/dev/null
 cmake --build build-werror -j "$JOBS"
 
-echo "=== [4/13] ASan+UBSan build: codec + robustness + chaos + malformed-corpus + parallel-scan + async core + zone + scan world + counters ==="
+echo "=== [4/13] ASan+UBSan build: codec + robustness + chaos + malformed-corpus + parallel-scan + async core + zone + scan world + counters + resolver caps ==="
 cmake -B build-asan -S . -DEDE_SANITIZE=ON >/dev/null
 cmake --build build-asan -j "$JOBS" --target test_robustness test_chaos \
   test_malformed_corpus test_parallel_scan test_async_core test_name \
   test_wire test_rdata test_message test_codec_golden test_stream \
   test_stream_scenarios test_truncation test_zone test_scan_world \
-  test_counters
-ctest --test-dir build-asan --output-on-failure -R 'Robust|Chaos|Malformed|Parallel|ScanMerge|PlanShards|ScannerStride|Name|Wire|Rdata|DecodeRdata|Presentation|TypeBitmap|Message|CodecGolden|Stream|Framing|Truncation|EventScheduler|RetryPolicy|CoalesceKey|AsyncCore|Zone|SignedZone|ScanWorldFixture|Counters'
+  test_counters test_resolver
+ctest --test-dir build-asan --output-on-failure -R 'Robust|Chaos|Malformed|Parallel|ScanMerge|PlanShards|ScannerInflight|Name|Wire|Rdata|DecodeRdata|Presentation|TypeBitmap|Message|CodecGolden|Stream|Framing|Truncation|EventScheduler|RetryPolicy|CoalesceKey|AsyncCore|Zone|SignedZone|ScanWorldFixture|Counters|ResolverLimits'
 
 echo "=== [5/13] TSan build: parallel-scan + async-core suites ==="
 cmake -B build-tsan -S . -DEDE_TSAN=ON >/dev/null
 cmake --build build-tsan -j "$JOBS" --target test_parallel_scan test_async_core
 ctest --test-dir build-tsan --output-on-failure \
-  -R 'Parallel|ScanMerge|PlanShards|ScannerStride|EventScheduler|AsyncCore'
+  -R 'Parallel|ScanMerge|PlanShards|ScannerInflight|EventScheduler|AsyncCore'
 
 echo "=== [6/13] async engine: fixed-seed --inflight equivalence ==="
 # The event-loop contract (DESIGN.md §5g): multiplexing width is a pure
