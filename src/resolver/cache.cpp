@@ -165,22 +165,6 @@ const ServfailEntry* Cache::get_servfail(const dns::Name& name,
   return &it->second;
 }
 
-std::optional<sim::SimTime> Cache::ttl_remaining(const dns::Name& name,
-                                                 dns::RRType type,
-                                                 sim::SimTime now) const {
-  if (!options_.enabled) return std::nullopt;
-  const CacheKey key{name, type};
-  if (const auto it = positive_.find(key);
-      it != positive_.end() && it->second.expires >= now) {
-    return it->second.expires - now;
-  }
-  if (const auto it = negative_.find(key);
-      it != negative_.end() && it->second.expires >= now) {
-    return it->second.expires - now;
-  }
-  return std::nullopt;
-}
-
 std::vector<CacheKey> Cache::expiring_within(sim::SimTimeMs within_ms,
                                              sim::SimTime now) const {
   std::vector<CacheKey> keys;

@@ -5,7 +5,6 @@
 #pragma once
 
 #include <map>
-#include <optional>
 #include <vector>
 
 #include "dnscore/counters.hpp"
@@ -96,20 +95,13 @@ class Cache {
   void clear();
   [[nodiscard]] std::size_t size() const;
 
-  /// Expiry introspection (the prefetcher's view of the cache). These are
-  /// pure reads: they never touch Stats, so the hits/misses/stale_hits
+  /// Expiry introspection (the prefetcher's view of the cache): keys of
+  /// fresh positive entries that expire within `within_ms` of `now`, in
+  /// canonical key order (deterministic for report emitters and the
+  /// prefetch scheduler). Entries already expired are not listed —
+  /// refreshing them is serve-stale's job, not the prefetcher's. A pure
+  /// read: it never touches Stats, so the hits/misses/stale_hits
   /// partition keeps counting only real serving lookups.
-  ///
-  /// Seconds until the cached entry for (name, type) stops being fresh, or
-  /// nullopt when nothing fresh is cached (absent or already expired — the
-  /// stale window does not count as remaining TTL). Positive entries are
-  /// consulted first, then negative ones, mirroring lookup order.
-  [[nodiscard]] std::optional<sim::SimTime> ttl_remaining(
-      const dns::Name& name, dns::RRType type, sim::SimTime now) const;
-  /// Keys of fresh positive entries that expire within `within_ms` of
-  /// `now`, in canonical key order (deterministic for report emitters and
-  /// the prefetch scheduler). Entries already expired are not listed —
-  /// refreshing them is serve-stale's job, not the prefetcher's.
   [[nodiscard]] std::vector<CacheKey> expiring_within(
       sim::SimTimeMs within_ms, sim::SimTime now) const;
 

@@ -99,8 +99,6 @@ std::string render_section42(const ScanResult& result,
   out << "\ntransport: " << t.packets_sent << " packets ("
       << t.retransmits << " retransmits, " << t.timeouts << " timeouts, "
       << t.unreachable << " unreachable";
-  if (t.corrupted != 0) out << ", " << t.corrupted << " corrupted";
-  if (t.rate_limited != 0) out << ", " << t.rate_limited << " rate-limited";
   out << ")\n";
   if (t.holddown_skips != 0 || t.holddowns_started != 0) {
     out << "infra cache: " << t.holddowns_started << " servers held down, "

@@ -157,9 +157,6 @@ ScanResult Scanner::run(resolver::RecursiveResolver& resolver,
       net_after.packets_timeout - net_before.packets_timeout;
   result.transport.unreachable =
       net_after.packets_unreachable - net_before.packets_unreachable;
-  result.transport.corrupted = net_after.corrupted - net_before.corrupted;
-  result.transport.rate_limited =
-      net_after.rate_limited - net_before.rate_limited;
   result.transport.holddown_skips =
       infra_after.holddown_skips - infra_before.holddown_skips;
   result.transport.holddowns_started =

@@ -40,8 +40,6 @@ struct TransportStats {
   std::uint64_t retransmits = 0;
   std::uint64_t timeouts = 0;
   std::uint64_t unreachable = 0;
-  std::uint64_t corrupted = 0;
-  std::uint64_t rate_limited = 0;
   std::uint64_t holddown_skips = 0;  // probes the infra cache avoided
   std::uint64_t holddowns_started = 0;
   /// Servers the infra cache branded plain-DNS-only (RFC 6891 fallback
@@ -51,13 +49,11 @@ struct TransportStats {
   /// Fold another shard's deltas in (plain sums).
   void merge(const TransportStats& other) { obs::merge(*this, other); }
 
-  static constexpr std::array<obs::Row<TransportStats>, 9> kCounters{{
+  static constexpr std::array<obs::Row<TransportStats>, 7> kCounters{{
       {"packets_sent", &TransportStats::packets_sent},
       {"retransmits", &TransportStats::retransmits},
       {"timeouts", &TransportStats::timeouts},
       {"unreachable", &TransportStats::unreachable},
-      {"corrupted", &TransportStats::corrupted},
-      {"rate_limited", &TransportStats::rate_limited},
       {"holddown_skips", &TransportStats::holddown_skips},
       {"holddowns_started", &TransportStats::holddowns_started},
       {"edns_broken_learned", &TransportStats::edns_broken_learned},

@@ -10,6 +10,7 @@
 #include "edns/edns.hpp"
 #include "resolver/resolver.hpp"
 #include "server/auth_server.hpp"
+#include "simnet/byzantine.hpp"
 #include "simnet/stream.hpp"
 #include "zone/signer.hpp"
 
@@ -489,12 +490,8 @@ void ScanWorld::build() {
   server::ServerConfig notauth_config;
   notauth_config.fixed_rcode = dns::RCode::NOTAUTH;
   auto notauth = std::make_shared<server::AuthServer>(notauth_config);
-  server::ServerConfig mangle_config;
-  mangle_config.mangle_question = true;
-  auto mangle = std::make_shared<server::AuthServer>(mangle_config);
   keep_alive_.push_back(refused);
   keep_alive_.push_back(notauth);
-  keep_alive_.push_back(mangle);
 
   for (std::uint32_t slot = 0; slot < kProviderSlots; ++slot) {
     attach_authority(provider_address(ServingPlan::Pool::Healthy, slot),
@@ -509,8 +506,19 @@ void ScanWorld::build() {
     attach_authority(provider_address(ServingPlan::Pool::NotAuth, slot),
                      server_endpoint(notauth));
     attach_authority(provider_address(ServingPlan::Pool::Mangle, slot),
-                     server_endpoint(mangle));
+                     server_endpoint(refused));
     // Timeout and Unroutable pools are deliberately left unattached.
+  }
+  // The Mangle pool is a question-rewriting middlebox in front of a
+  // REFUSED authority (the paper's Invalid Data category).
+  for (std::uint32_t slot = 0; slot < pool_slots(ServingPlan::Pool::Mangle);
+       ++slot) {
+    const auto address = provider_address(ServingPlan::Pool::Mangle, slot);
+    const auto mangle = sim::make_byzantine_mutator(
+        {sim::ByzantineBehavior::wrong_question()}, 0);
+    network_->set_mutator(address, mangle);
+    if (world_options_.stream_listeners)
+      network_->stream().set_mutator(address, mangle);
   }
 
   dead_providers_ = scan::dead_provider_count(*population_);

@@ -127,7 +127,7 @@ dns::Message AuthServer::handle(const dns::Message& query,
   const bool dnssec_ok = edns.has_value() && edns->dnssec_ok;
 
   const auto finish = [&]() {
-    if (config_.edns_aware && edns.has_value()) {
+    if (edns.has_value()) {
       edns::Edns out;
       out.udp_payload_size = config_.udp_payload_size;
       out.dnssec_ok = dnssec_ok;
@@ -135,24 +135,7 @@ dns::Message AuthServer::handle(const dns::Message& query,
         out.options.push_back(
             edns::make_report_channel_option(*config_.report_agent));
       }
-      if (config_.edns_echo_extra) {
-        dns::EdnsOption echoed;
-        echoed.code = 0xfde9;  // local/experimental range (RFC 6891 §9)
-        echoed.data = {0x7a, 0x6f, 0x6f};  // "zoo"
-        out.options.push_back(echoed);
-      }
-      if (config_.edns_garble) {
-        // An option header declaring 0xffff payload bytes it never sends.
-        out.trailing = {0x00, 0x0a, 0xff, 0xff};
-      }
       edns::set_edns(response, out);
-      if (config_.edns_duplicate_opt) {
-        response.additional.push_back(edns::to_opt_record(out));
-      }
-    }
-    if (config_.mangle_question && !response.question.empty()) {
-      response.question.front().qname =
-          dns::Name::of("mangled.invalid.example.");
     }
     // UDP truncation (RFC 1035 §4.1.1 TC bit): if the response exceeds
     // the smaller of the client's advertised EDNS payload size (512
@@ -191,18 +174,6 @@ dns::Message AuthServer::handle(const dns::Message& query,
     }
     return response;
   };
-
-  // EDNS-compliance zoo: OPT-layer pathologies fire before any lookup.
-  if (edns.has_value() && config_.edns_formerr) {
-    // The pre-EDNS reply: FORMERR, no OPT, no records, nothing of finish().
-    response.header.rcode = dns::RCode::FORMERR;
-    return response;
-  }
-  if (edns.has_value() && config_.edns_badvers) {
-    // finish() echoes the OPT the extended RCODE's high bits ride in.
-    response.header.rcode = dns::RCode::BADVERS;
-    return finish();
-  }
 
   if (query.question.empty() || query.header.opcode != dns::Opcode::QUERY) {
     response.header.rcode = dns::RCode::FORMERR;
@@ -463,9 +434,6 @@ sim::Endpoint AuthServer::endpoint() const {
   return [this](crypto::BytesView wire,
                 const sim::PacketContext& ctx) -> std::optional<crypto::Bytes> {
     if (!arena_.parse(wire)) return std::nullopt;  // unparsable packets vanish
-    if (config_.edns_drop && arena_.message().find_opt() != nullptr) {
-      return std::nullopt;  // EDNS-hostile firewall: the OPT query vanishes
-    }
     return arena_.serialize_copy(handle(arena_.message(), ctx));
   };
 }

@@ -1,9 +1,12 @@
 // Authoritative nameserver (RFC 1034 §4.3.2 lookup) running on the
 // simulated network. Serves one or more zones, produces referrals with
 // glue and DS material, NSEC3-backed negative answers, and models the
-// server-side behaviours the paper's testbed and wild scan rely on:
-// query ACLs, EDNS-unaware peers, fixed-RCODE (REFUSED/SERVFAIL/NOTAUTH)
-// responders and question-mangling middleboxes.
+// server-side configuration the paper's testbed and wild scan rely on:
+// query ACLs, fixed-RCODE (REFUSED/SERVFAIL/NOTAUTH/FORMERR) responders
+// and the advertised UDP payload size. A server always answers honestly
+// for its configuration; hostile answers (mangled questions, the RFC 6891
+// OPT pathologies) are rewritten on the wire by the Byzantine zoo in
+// simnet/byzantine.hpp.
 #pragma once
 
 #include <memory>
@@ -26,40 +29,15 @@ enum class QueryAcl {
 struct ServerConfig {
   QueryAcl acl = QueryAcl::AllowAll;
   /// When set, every query is answered with this RCODE and no records —
-  /// the wild scan's REFUSED/SERVFAIL/NOTAUTH authorities.
+  /// the wild scan's REFUSED/SERVFAIL/NOTAUTH authorities and the
+  /// testbed's FORMERR-to-everything server.
   std::optional<dns::RCode> fixed_rcode;
-  /// EDNS-unaware: no OPT record is echoed in responses.
-  bool edns_aware = true;
-  /// Pathological middlebox behaviour: the echoed question section names a
-  /// different owner than was asked (the paper's Invalid Data category).
-  bool mangle_question = false;
-  /// Maximum UDP payload this server advertises.
+  /// Maximum UDP payload this server advertises and truncates at (512
+  /// models the EDNS buffer-size lie: spurious TC for larger offers).
   std::uint16_t udp_payload_size = 1232;
   /// RFC 9567 Report-Channel: advertise this reporting-agent domain in
   /// every EDNS response so resolvers can report resolution failures.
   std::optional<dns::Name> report_agent;
-
-  // --- EDNS-compliance zoo (RFC 6891, DESIGN.md §5i): the OPT-layer
-  // pathologies observed in the wild. `edns_aware = false` above already
-  // models the strip-OPT server; these cover the rest. ------------------
-  /// Silently drop any UDP query that carries an OPT record — the
-  /// EDNS-hostile firewall. Plain-DNS queries are answered normally and
-  /// the stream side is unaffected (such middleboxes filter datagrams).
-  bool edns_drop = false;
-  /// Answer FORMERR, with no OPT echoed and no records, to any query
-  /// carrying OPT — the pre-EDNS-era server reply (RFC 6891 §7).
-  bool edns_formerr = false;
-  /// Reply BADVERS to any EDNS query, even version 0.
-  bool edns_badvers = false;
-  /// Echo an unregistered option (local/experimental range, RFC 6891 §9)
-  /// back in every EDNS response.
-  bool edns_echo_extra = false;
-  /// Attach a second OPT record to every EDNS response (RFC 6891 §6.1.1
-  /// allows exactly one).
-  bool edns_duplicate_opt = false;
-  /// Garble the OPT rdata: append an option header that declares more
-  /// payload than the record carries.
-  bool edns_garble = false;
 };
 
 class AuthServer {

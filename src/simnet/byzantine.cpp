@@ -317,6 +317,19 @@ Applied mutate_edns_garble(const crypto::Bytes& response,
   return rewritten(m.serialize());
 }
 
+/// Attach a second copy of the response's OPT record (RFC 6891 §6.1.1
+/// allows exactly one). The resolver must read the duplicate as a garbled
+/// EDNS signal, whichever copy a naive reader would have picked.
+Applied mutate_edns_duplicate_opt(const crypto::Bytes& response) {
+  auto parsed = dns::Message::parse(response);
+  if (!parsed) return not_applicable();
+  dns::Message m = std::move(parsed).value();
+  const auto* opt = m.find_opt();
+  if (opt == nullptr) return not_applicable();
+  m.additional.push_back(dns::ResourceRecord{*opt});
+  return rewritten(m.serialize());
+}
+
 Applied apply(const ByzantineBehavior& behavior, crypto::BytesView query,
               const crypto::Bytes& response, crypto::Xoshiro256& rng,
               MutateContext& ctx) {
@@ -353,6 +366,8 @@ Applied apply(const ByzantineBehavior& behavior, crypto::BytesView query,
       return mutate_edns_buffer_lie(response);
     case ByzantineKind::EdnsGarble:
       return mutate_edns_garble(response, rng);
+    case ByzantineKind::EdnsDuplicateOpt:
+      return mutate_edns_duplicate_opt(response);
     case ByzantineKind::None:
       break;
   }
@@ -380,6 +395,7 @@ const char* to_string(ByzantineKind kind) {
     case ByzantineKind::EdnsBadvers: return "edns_badvers";
     case ByzantineKind::EdnsBufferLie: return "edns_buffer_lie";
     case ByzantineKind::EdnsGarble: return "edns_garble";
+    case ByzantineKind::EdnsDuplicateOpt: return "edns_duplicate_opt";
   }
   return "unknown";
 }

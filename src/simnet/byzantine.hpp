@@ -1,11 +1,13 @@
 // A zoo of Byzantine authoritative behaviors for the simulated network.
 //
-// PR 1's Fault covers the *transport* misbehaving: packets lost, delayed,
-// bit-flipped in flight. This layer covers the *far end* misbehaving —
-// a compromised or buggy authoritative server, or an off-path attacker
-// racing it — which is where the paper's dominant wild-scan EDE codes
-// (22 NoReachableAuthority / 23 NetworkError, §4.2) actually come from:
-// lame delegations, garbage responses, half-dead infrastructure.
+// Fault (simnet/network.hpp) decides whether a datagram arrives: packets
+// lost, delayed, fragmented away. This layer decides what an arriving
+// answer says — a compromised or buggy authoritative server, a middlebox
+// in front of it, or an off-path attacker racing it — which is where the
+// paper's dominant wild-scan EDE codes (22 NoReachableAuthority / 23
+// NetworkError, §4.2) actually come from: lame delegations, garbage
+// responses, half-dead infrastructure. It is the only code that rewrites
+// an authority's answer; server::AuthServer always answers honestly.
 //
 // Each ByzantineBehavior is seedable and scriptable per address and
 // per time-window exactly like Fault:
@@ -51,9 +53,10 @@ enum class ByzantineKind : std::uint8_t {
   EdnsBadvers,     // reply BADVERS even to EDNS version 0
   EdnsBufferLie,   // ignore the advertised size: spurious TC truncation
   EdnsGarble,      // garble the OPT RDATA (undecodable option tail)
+  EdnsDuplicateOpt,  // append a second copy of the response's OPT record
 };
 
-constexpr std::size_t kByzantineKindCount = 17;  // incl. None
+constexpr std::size_t kByzantineKindCount = 18;  // incl. None
 
 [[nodiscard]] const char* to_string(ByzantineKind kind);
 
@@ -132,6 +135,9 @@ struct ByzantineBehavior {
   }
   static ByzantineBehavior edns_garble(double p = 1.0) {
     return {ByzantineKind::EdnsGarble, p};
+  }
+  static ByzantineBehavior edns_duplicate_opt(double p = 1.0) {
+    return {ByzantineKind::EdnsDuplicateOpt, p};
   }
 
   /// The same behavior, active only inside [t0, t1) of simulated time.

@@ -12,11 +12,6 @@ namespace {
 /// Cap on the optional send trace so a long scan cannot grow it unbounded.
 constexpr std::size_t kMaxSendLog = 65'536;
 
-/// DNS header offsets used when a rate limiter synthesizes REFUSED.
-constexpr std::size_t kHeaderSize = 12;
-constexpr std::uint8_t kQrBit = 0x80;
-constexpr std::uint8_t kRcodeRefused = 5;
-
 }  // namespace
 
 // Defined out of line: StreamTransport is an incomplete type in the header.
@@ -42,9 +37,8 @@ bool Network::attached(const NodeAddress& address) const {
 void Network::inject_fault(const NodeAddress& address, Fault fault) {
   // Any (re)injection starts the fault from a clean slate: a stale parity
   // counter from an earlier Intermittent fault must not leak into a new
-  // one, and a fresh rate limiter starts with an empty window.
+  // one.
   intermittent_counters_.erase(address);
-  rate_windows_.erase(address);
   if (fault.kind == Fault::Kind::None) {
     faults_.erase(address);
   } else {
@@ -136,7 +130,6 @@ SendResult Network::send_impl(const NodeAddress& source,
     return reply(SendStatus::Unreachable, {});
   }
 
-  bool corrupt_response = false;
   std::uint32_t frag_mtu = 0;
   const auto fault_it = faults_.find(destination);
   if (fault_it != faults_.end() &&
@@ -151,31 +144,6 @@ SendResult Network::send_impl(const NodeAddress& source,
       case Fault::Kind::Loss:
         if (rng_.uniform() < fault.probability) return drop();
         break;
-      case Fault::Kind::Corrupt:
-        corrupt_response = rng_.uniform() < fault.probability;
-        break;
-      case Fault::Kind::RateLimit: {
-        auto& window = rate_windows_[destination];
-        const SimTime second = clock_->now();
-        if (window.second != second) {
-          window.second = second;
-          window.count = 0;
-        }
-        if (++window.count > fault.max_qps) {
-          // Answer REFUSED without consulting the endpoint: echo the query
-          // with QR set and RCODE=REFUSED (what RRL-style limiters do
-          // when they do not simply drop).
-          if (query.size() < kHeaderSize) return drop();
-          crypto::Bytes refused(query.begin(), query.end());
-          refused[2] |= kQrBit;
-          refused[3] = static_cast<std::uint8_t>((refused[3] & 0xf0) |
-                                                 kRcodeRefused);
-          ++stats_.rate_limited;
-          ++stats_.packets_delivered;
-          return reply(SendStatus::Delivered, std::move(refused));
-        }
-        break;
-      }
       case Fault::Kind::FragDrop:
         frag_mtu = fault.mtu_bytes;
         break;
@@ -191,7 +159,7 @@ SendResult Network::send_impl(const NodeAddress& source,
   if (!response) return drop();
 
   // Byzantine hook: an installed mutator speaks for the far end, so it
-  // runs on the endpoint's bytes before path-level corruption below. A
+  // runs on the endpoint's bytes before the path judges them below. A
   // swallowed reply (nullopt) looks like any other silent drop; extra
   // serialization delay (slow-drip answers) is charged with the link RTT.
   if (const auto mut = mutators_.find(destination); mut != mutators_.end()) {
@@ -208,17 +176,6 @@ SendResult Network::send_impl(const NodeAddress& source,
   // in flight, and the fragments never arrived. Indistinguishable from any
   // other silent drop at the sender — which is the point.
   if (frag_mtu != 0 && response->size() > frag_mtu) return drop();
-
-  if (corrupt_response && !response->empty()) {
-    // Flip one to three bytes so the receiver's parser path is exercised
-    // with almost-valid wire data.
-    const std::size_t flips = 1 + rng_.below(3);
-    for (std::size_t i = 0; i < flips; ++i) {
-      const std::size_t pos = rng_.below(response->size());
-      (*response)[pos] ^= static_cast<std::uint8_t>(1 + rng_.below(255));
-    }
-    ++stats_.corrupted;
-  }
 
   ++stats_.packets_delivered;
   return reply(SendStatus::Delivered, std::move(*response));

@@ -12,9 +12,10 @@
 // The transport can additionally be made adversarial: a seeded latency
 // model (per-link base RTT + jitter) that advances the shared Clock, and
 // per-address fault injection covering hard timeouts, parity loss,
-// probabilistic loss, response corruption, rate limiting and scripted
-// outage windows (fail_between) so servers can die and recover on the
-// simulated timeline.
+// probabilistic loss, fragment loss and scripted outage windows
+// (fail_between) so servers can die and recover on the simulated
+// timeline. A Fault decides whether a reply arrives; what an arriving
+// reply says is rewritten only by a ResponseMutator (simnet/byzantine.hpp).
 #pragma once
 
 #include <cstdint>
@@ -93,14 +94,11 @@ struct Fault {
     Timeout,       // swallow every packet
     Intermittent,  // drop every other packet (deterministic parity)
     Loss,          // drop each packet independently with probability p
-    Corrupt,       // deliver, but flip response bytes with probability p
-    RateLimit,     // answer REFUSED beyond max_qps queries per sim-second
     FragDrop,      // drop responses larger than mtu_bytes (fragment loss)
   };
 
   Kind kind = Kind::None;
-  double probability = 1.0;    // Loss / Corrupt
-  std::uint32_t max_qps = 0;   // RateLimit
+  double probability = 1.0;    // Loss
   std::uint32_t mtu_bytes = 0;  // FragDrop
   SimTime active_from = 0;     // fault applies inside [active_from,
   SimTime active_until = kFaultForever;  //                active_until)
@@ -109,12 +107,6 @@ struct Fault {
   static Fault timeout() { return {Kind::Timeout}; }
   static Fault intermittent() { return {Kind::Intermittent}; }
   static Fault loss(double p) { return {Kind::Loss, p}; }
-  static Fault corrupt(double p = 1.0) { return {Kind::Corrupt, p}; }
-  static Fault rate_limit(std::uint32_t qps) {
-    Fault f{Kind::RateLimit};
-    f.max_qps = qps;
-    return f;
-  }
   /// Path-MTU fragmentation loss: any UDP response bigger than `mtu`
   /// fragments in flight and the fragments never arrive — the silent
   /// large-DNSSEC-answer blackhole the DoTCP fallback exists to survive.
@@ -147,14 +139,14 @@ struct LatencyModel {
   bool enabled = false;
   std::uint32_t base_rtt_ms = 20;  // default per-link round trip
   std::uint32_t jitter_ms = 8;     // uniform extra in [0, jitter_ms]
-  std::uint64_t seed = 0x1ede;     // drives jitter, loss and corruption
+  std::uint64_t seed = 0x1ede;     // drives jitter and loss
 };
 
 class StreamTransport;
 
 class Network {
  public:
-  /// `transport_seed` drives the transport RNG (jitter, loss, corruption)
+  /// `transport_seed` drives the transport RNG (jitter, loss)
   /// and becomes the default LatencyModel seed. Sharded scans derive it as
   /// base_seed ^ shard_id so every worker's transport is independently
   /// reproducible for any shard count. The companion stream transport
@@ -174,8 +166,8 @@ class Network {
 
   /// Install a response mutator at an address. Applied to every response
   /// the endpoint there produces, after fault processing decides the packet
-  /// survives but before Fault::corrupt's transport-level bit flips (the
-  /// mutator models the far end, corruption models the path). A default-
+  /// survives and before fragment loss judges the rewritten size (the
+  /// mutator models the far end, the fault the path). A default-
   /// constructed mutator clears the hook.
   void set_mutator(const NodeAddress& address, ResponseMutator mutator);
   /// Scripted outage: the address swallows every packet inside [t0, t1)
@@ -242,8 +234,6 @@ class Network {
     std::uint64_t packets_unreachable = 0;
     std::uint64_t packets_timeout = 0;
     std::uint64_t retransmits = 0;
-    std::uint64_t corrupted = 0;     // responses mangled by Fault::corrupt
-    std::uint64_t rate_limited = 0;  // queries answered REFUSED by a limiter
     std::uint64_t mutated = 0;       // responses tampered with by a mutator
   };
   [[nodiscard]] const Stats& stats() const { return stats_; }
@@ -279,12 +269,6 @@ class Network {
   std::unordered_map<NodeAddress, ResponseMutator, NodeAddressHash> mutators_;
   std::unordered_map<NodeAddress, std::uint64_t, NodeAddressHash>
       intermittent_counters_;
-  /// RateLimit bookkeeping: queries seen at this address in `second`.
-  struct RateWindow {
-    SimTime second = 0;
-    std::uint32_t count = 0;
-  };
-  std::unordered_map<NodeAddress, RateWindow, NodeAddressHash> rate_windows_;
   std::unordered_map<NodeAddress, std::uint32_t, NodeAddressHash> link_rtts_;
   LatencyModel latency_;
   crypto::Xoshiro256 rng_;

@@ -1,5 +1,6 @@
 #include "resolver/resolver.hpp"
 #include "server/auth_server.hpp"
+#include "simnet/byzantine.hpp"
 #include "simnet/stream.hpp"
 #include "testbed/testbed.hpp"
 
@@ -324,28 +325,32 @@ void Testbed::build_edns_family(zone::Zone& base_zone) {
       }
     }
 
+    // Each OPT pathology is a Byzantine behavior at the authority's
+    // address, firing on every exchange; only FORMERR-to-everything and
+    // the buffer lie are server configuration.
     const auto child_addr = sim::NodeAddress::of(glue_addr);
     server::ServerConfig config;
+    std::optional<sim::ByzantineBehavior> hostile;
     switch (spec.fault) {
       case EdnsFault::None:
         break;
       case EdnsFault::DropOptQuery:
-        config.edns_drop = true;
+        hostile = sim::ByzantineBehavior::edns_drop();
         break;
       case EdnsFault::FormerrOnOpt:
-        config.edns_formerr = true;
+        hostile = sim::ByzantineBehavior::edns_formerr();
         break;
       case EdnsFault::FormerrAlways:
         config.fixed_rcode = dns::RCode::FORMERR;
         break;
       case EdnsFault::StripOpt:
-        config.edns_aware = false;
+        hostile = sim::ByzantineBehavior::edns_strip_opt();
         break;
       case EdnsFault::EchoUnknownOption:
-        config.edns_echo_extra = true;
+        hostile = sim::ByzantineBehavior::edns_echo_extra();
         break;
       case EdnsFault::Badvers:
-        config.edns_badvers = true;
+        hostile = sim::ByzantineBehavior::edns_badvers();
         break;
       case EdnsFault::BufferLie:
         // Advertised sizes never go below 512, so the server truncates at
@@ -353,16 +358,26 @@ void Testbed::build_edns_family(zone::Zone& base_zone) {
         config.udp_payload_size = 512;
         break;
       case EdnsFault::GarbleOptRdata:
-        config.edns_garble = true;
+        hostile = sim::ByzantineBehavior::edns_garble();
         break;
       case EdnsFault::DuplicateOpt:
-        config.edns_duplicate_opt = true;
+        hostile = sim::ByzantineBehavior::edns_duplicate_opt();
         break;
     }
     auto server = std::make_shared<server::AuthServer>(config);
     server->add_zone(child_zone);
     network_->attach(child_addr, server->endpoint());
     network_->stream().listen(child_addr, server->stream_endpoint());
+    if (hostile.has_value()) {
+      network_->set_mutator(child_addr,
+                            sim::make_byzantine_mutator({*hostile}, 0));
+      // The EDNS-hostile firewall filters datagrams; a stream reaches the
+      // authority untouched.
+      if (hostile->kind != sim::ByzantineKind::EdnsDrop) {
+        network_->stream().set_mutator(
+            child_addr, sim::make_byzantine_mutator({*hostile}, 0));
+      }
+    }
 
     servers_.push_back(std::move(server));
     child_zones_.emplace(spec.label, std::move(child_zone));

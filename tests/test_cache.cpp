@@ -259,32 +259,6 @@ TEST(Cache, StatsPartitionLookupsExactly) {
 
 // --- expiry introspection (the prefetcher's view) ------------------------
 
-TEST(Cache, TtlRemainingSeesOnlyFreshEntries) {
-  Cache cache;
-  cache.put_positive(entry_for("a.test", 1000));
-  NegativeEntry negative;
-  negative.nxdomain = true;
-  negative.expires = 500;
-  cache.put_negative(Name::of("n.test"), RRType::A, negative);
-
-  EXPECT_EQ(cache.ttl_remaining(Name::of("a.test"), RRType::A, 400),
-            std::optional<ede::sim::SimTime>{600});
-  // The boundary second still counts as fresh, mirroring get_positive.
-  EXPECT_EQ(cache.ttl_remaining(Name::of("a.test"), RRType::A, 1000),
-            std::optional<ede::sim::SimTime>{0});
-  // Expired entries have no remaining TTL, even inside the stale window.
-  EXPECT_EQ(cache.ttl_remaining(Name::of("a.test"), RRType::A, 1001),
-            std::nullopt);
-  // Negative entries are consulted too (lookup order: positive first).
-  EXPECT_EQ(cache.ttl_remaining(Name::of("n.test"), RRType::A, 400),
-            std::optional<ede::sim::SimTime>{100});
-  EXPECT_EQ(cache.ttl_remaining(Name::of("absent.test"), RRType::A, 400),
-            std::nullopt);
-  // The key is (name, type), exactly like a serving lookup.
-  EXPECT_EQ(cache.ttl_remaining(Name::of("a.test"), RRType::AAAA, 400),
-            std::nullopt);
-}
-
 TEST(Cache, ExpiringWithinListsTheHorizonInCanonicalOrder) {
   Cache cache;
   cache.put_positive(entry_for("soon.test", 1010));
@@ -314,8 +288,6 @@ TEST(Cache, IntrospectionNeverTouchesTheStats) {
   (void)cache.get_positive(Name::of("miss.test"), RRType::A, 10); // miss
   const auto before = cache.stats();
 
-  (void)cache.ttl_remaining(Name::of("a.test"), RRType::A, 10);
-  (void)cache.ttl_remaining(Name::of("miss.test"), RRType::A, 10);
   (void)cache.expiring_within(60'000, 10);
 
   const auto& after = cache.stats();

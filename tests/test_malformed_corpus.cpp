@@ -156,6 +156,58 @@ TEST(MalformedCorpus, EdnsMutatorOutputsStayParseable) {
   EXPECT_EQ(parse_edns_mutated_corpus(sim::ByzantineBehavior::edns_garble(),
                                       kRounds),
             kRounds);
+  EXPECT_EQ(parse_edns_mutated_corpus(
+                sim::ByzantineBehavior::edns_duplicate_opt(), kRounds),
+            kRounds);
+}
+
+// The duplicate-OPT rewrite appends a copy of the response's OPT, and
+// leaves a response without one as it was.
+TEST(MalformedCorpus, DuplicateOptDoublesAnExistingOptOnly) {
+  const auto query = sample_edns_query_wire();
+  auto mutator = sim::make_byzantine_mutator(
+      {sim::ByzantineBehavior::edns_duplicate_opt()}, 0);
+  sim::MutateContext ctx;
+  ctx.now = 1'700'000'000;
+
+  const auto doubled = mutator(query, sample_response().serialize(), ctx);
+  ASSERT_TRUE(doubled.has_value());
+  const auto parsed = dns::Message::parse(*doubled);
+  ASSERT_TRUE(parsed.ok());
+  EXPECT_EQ(edns::opt_count(parsed.value()), 2u);
+
+  dns::Message plain = sample_response();
+  plain.additional.pop_back();  // the OPT
+  const auto plain_wire = plain.serialize();
+  const auto untouched = mutator(query, plain_wire, ctx);
+  ASSERT_TRUE(untouched.has_value());
+  EXPECT_EQ(*untouched, plain_wire);
+}
+
+// The question-mangling middlebox: the echoed question names something
+// nobody asked, while the QID and the RCODE stay the server's, so only
+// the resolver's question check can catch it.
+TEST(MalformedCorpus, WrongQuestionKeepsTheQidAndTheRcode) {
+  dns::Message refused = sample_response();
+  refused.header.rcode = dns::RCode::REFUSED;
+  refused.answer.clear();
+  refused.authority.clear();
+  auto mutator = sim::make_byzantine_mutator(
+      {sim::ByzantineBehavior::wrong_question()}, 0);
+  sim::MutateContext ctx;
+  ctx.now = 1'700'000'000;
+  const auto wire = mutator(sample_query_wire(), refused.serialize(), ctx);
+  ASSERT_TRUE(wire.has_value());
+  const auto parsed = dns::Message::parse(*wire);
+  ASSERT_TRUE(parsed.ok());
+  const auto& m = parsed.value();
+  EXPECT_EQ(m.header.id, 0x4242);
+  EXPECT_EQ(m.header.rcode, dns::RCode::REFUSED);
+  ASSERT_EQ(m.question.size(), 1u);
+  EXPECT_NE(m.question.front().qname,
+            dns::Name::of("host.child.example-zone.test"));
+  EXPECT_EQ(m.question.front().qname, sim::poison_marker());
+  EXPECT_EQ(m.question.front().qtype, dns::RRType::A);
 }
 
 /// A hand-built datagram: empty question, `opts` OPT records whose rdata

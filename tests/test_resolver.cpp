@@ -10,6 +10,7 @@
 #include "edns/edns.hpp"
 #include "resolver/resolver.hpp"
 #include "server/auth_server.hpp"
+#include "simnet/byzantine.hpp"
 #include "testbed/testbed.hpp"
 #include "zone/signer.hpp"
 #include "zone/zone.hpp"
@@ -227,7 +228,7 @@ TEST(ResolverTransport, EdnsUnawareAuthorityIsFlagged) {
   auto clock = std::make_shared<sim::Clock>();
   auto network = std::make_shared<sim::Network>(clock);
 
-  // An unsigned hierarchy whose leaf server ignores EDNS entirely.
+  // An unsigned hierarchy whose leaf server never echoes the OPT back.
   auto child = std::make_shared<zone::Zone>(dns::Name::of("legacy.test"));
   dns::SoaRdata soa;
   soa.mname = dns::Name::of("ns1.legacy.test");
@@ -239,12 +240,13 @@ TEST(ResolverTransport, EdnsUnawareAuthorityIsFlagged) {
              dns::ARdata{*dns::Ipv4Address::parse("93.184.225.1")});
   child->add(child->origin(), dns::RRType::A,
              dns::ARdata{*dns::Ipv4Address::parse("93.184.225.9")});
-  server::ServerConfig config;
-  config.edns_aware = false;
-  auto child_server = std::make_shared<server::AuthServer>(config);
+  auto child_server = std::make_shared<server::AuthServer>();
   child_server->add_zone(child);
   network->attach(sim::NodeAddress::of("93.184.225.1"),
                   child_server->endpoint());
+  network->set_mutator(sim::NodeAddress::of("93.184.225.1"),
+                       sim::make_byzantine_mutator(
+                           {sim::ByzantineBehavior::edns_strip_opt()}, 0));
 
   auto root = std::make_shared<zone::Zone>(dns::Name{});
   dns::SoaRdata root_soa;

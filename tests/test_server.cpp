@@ -170,18 +170,6 @@ TEST_F(AuthServerTest, FixedRcodeShortCircuits) {
   EXPECT_TRUE(response.answer.empty());
 }
 
-TEST_F(AuthServerTest, QuestionMangling) {
-  server_.config().mangle_question = true;
-  const auto response = ask("example.com", RRType::A);
-  EXPECT_NE(response.question.front().qname, Name::of("example.com"));
-}
-
-TEST_F(AuthServerTest, EdnsUnawareServerOmitsOpt) {
-  server_.config().edns_aware = false;
-  const auto response = ask("example.com", RRType::A);
-  EXPECT_EQ(response.find_opt(), nullptr);
-}
-
 TEST_F(AuthServerTest, FormerrOnEmptyQuestion) {
   Message query;
   query.header.id = 5;

@@ -160,37 +160,6 @@ TEST_F(NetworkTest, LossFaultDropsRoughlyTheConfiguredFraction) {
   EXPECT_LT(dropped, 280);
 }
 
-TEST_F(NetworkTest, CorruptFaultMangledTheResponse) {
-  const auto dst = NodeAddress::of("93.184.216.34");
-  net_.attach(dst, echo_endpoint());
-  net_.inject_fault(dst, Fault::corrupt(1.0));
-  const auto result = net_.send(src_, dst, payload_);
-  EXPECT_EQ(result.status, SendStatus::Delivered);
-  EXPECT_NE(result.response, payload_);
-  EXPECT_EQ(result.response.size(), payload_.size());
-  EXPECT_GE(net_.stats().corrupted, 1u);
-}
-
-TEST_F(NetworkTest, RateLimitRefusesBeyondTheBudget) {
-  const auto dst = NodeAddress::of("93.184.216.34");
-  net_.attach(dst, echo_endpoint());
-  net_.inject_fault(dst, Fault::rate_limit(2));
-  // A DNS-header-sized payload so the limiter can synthesize REFUSED.
-  const Bytes query = {0xab, 0xcd, 0x01, 0x00, 0, 1, 0, 0, 0, 0, 0, 0};
-  EXPECT_EQ(net_.send(src_, dst, query).status, SendStatus::Delivered);
-  EXPECT_EQ(net_.send(src_, dst, query).status, SendStatus::Delivered);
-  const auto limited = net_.send(src_, dst, query);
-  ASSERT_EQ(limited.status, SendStatus::Delivered);
-  EXPECT_TRUE(limited.response[2] & 0x80);        // QR set
-  EXPECT_EQ(limited.response[3] & 0x0f, 5);       // RCODE=REFUSED
-  EXPECT_EQ(net_.stats().rate_limited, 1u);
-  // The next simulated second starts a fresh window.
-  clock_->advance(1);
-  const auto fresh = net_.send(src_, dst, query);
-  EXPECT_EQ(fresh.response[3] & 0x0f, 0);
-  EXPECT_EQ(net_.stats().rate_limited, 1u);
-}
-
 TEST_F(NetworkTest, ScriptedFaultWindowDiesAndRecovers) {
   const auto dst = NodeAddress::of("93.184.216.34");
   net_.attach(dst, echo_endpoint());

@@ -1,8 +1,9 @@
 // The stream transport in isolation: RFC 1035 §4.2.2 framing edge cases
 // (a length prefix split across segment boundaries, zero-length frames,
 // over-declared prefixes), the connection lifecycle (refuse, SYN drop,
-// idle timeout, mid-stream close), the hostile-behavior zoo, and the
-// fixed-seed replay guarantee chaos storylines depend on.
+// idle timeout, mid-stream close), the hostile-behavior zoo, the response
+// mutator hook, and the fixed-seed replay guarantee chaos storylines
+// depend on.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -258,6 +259,61 @@ TEST(StreamHostility, DifferentAnswerForgesUnsignedReply) {
   ASSERT_FALSE(forged.additional.empty());
   EXPECT_EQ(forged.additional[0].name, ede::sim::poison_marker());
   EXPECT_EQ(w.transport.stats().forged_answers, 1u);
+}
+
+// The datagram ResponseMutator hook on the stream side: it sees the
+// unframed query and response, and its bytes are what gets framed.
+TEST(StreamHostility, MutatorRewritesTheResponseBeforeFraming) {
+  StreamWorld w;
+  Bytes seen_query;
+  w.transport.set_mutator(
+      w.server,
+      [&seen_query](BytesView query, Bytes response,
+                    ede::sim::MutateContext& ctx) -> std::optional<Bytes> {
+        seen_query = Bytes(query.begin(), query.end());
+        response.push_back(0xef);
+        ctx.mutated = true;
+        return response;
+      });
+  const auto conn = w.transport.connect(w.client, w.server);
+  ASSERT_EQ(conn.status, ConnectStatus::Established);
+  const auto io = w.ask(w.transport, conn.conn_id);
+  ASSERT_EQ(io.status, IoStatus::Ok);
+  EXPECT_EQ(seen_query, bytes_of({0x01}));
+
+  // The length prefix covers the rewritten payload.
+  FrameAssembler assembler;
+  assembler.feed(io.bytes);
+  const auto frame = assembler.pop();
+  ASSERT_EQ(frame.status, Status::Frame);
+  EXPECT_EQ(frame.frame, bytes_of({0xab, 0xcd, 0xef}));
+  EXPECT_EQ(w.transport.stats().mutated, 1u);
+  EXPECT_EQ(w.transport.stats().frames_delivered, 1u);
+}
+
+TEST(StreamHostility, SwallowingMutatorReadsAsClose) {
+  StreamWorld w;
+  w.transport.set_mutator(
+      w.server,
+      [](BytesView, Bytes, ede::sim::MutateContext& ctx)
+          -> std::optional<Bytes> {
+        ctx.mutated = true;
+        return std::nullopt;
+      });
+  const auto conn = w.transport.connect(w.client, w.server);
+  ASSERT_EQ(conn.status, ConnectStatus::Established);
+  const auto io = w.ask(w.transport, conn.conn_id);
+  EXPECT_EQ(io.status, IoStatus::Closed);
+  EXPECT_TRUE(io.bytes.empty());
+  EXPECT_FALSE(w.transport.open(conn.conn_id));
+  EXPECT_EQ(w.transport.stats().mutated, 1u);
+  EXPECT_EQ(w.transport.stats().frames_delivered, 0u);
+
+  // A default-constructed mutator clears the hook.
+  w.transport.set_mutator(w.server, nullptr);
+  const auto again = w.transport.connect(w.client, w.server);
+  ASSERT_EQ(again.status, ConnectStatus::Established);
+  EXPECT_EQ(w.ask(w.transport, again.conn_id).status, IoStatus::Ok);
 }
 
 // --- determinism ------------------------------------------------------

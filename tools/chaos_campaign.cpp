@@ -105,6 +105,56 @@ bool owned_by_marker(const std::vector<dns::ResourceRecord>& section) {
   return false;
 }
 
+/// The per-resolution invariants every pass checks (2, 3 and 4a), with the
+/// campaign-wide tallies they feed.
+struct Checker {
+  std::vector<Violation> violations;
+  std::size_t resolutions = 0;
+  std::uint64_t max_upstream = 0;
+
+  /// Check one outcome and fold it into `pass`.
+  void check(const std::string& where, const resolver::Outcome& outcome,
+             std::uint64_t attempts_bound, PassResult& pass) {
+    ++resolutions;
+    // Invariant 2: the watchdog budget bounds upstream work.
+    const auto upstream = static_cast<std::uint64_t>(outcome.upstream_queries);
+    pass.upstream_queries += upstream;
+    pass.max_upstream_queries = std::max(pass.max_upstream_queries, upstream);
+    max_upstream = std::max(max_upstream, upstream);
+    if (upstream > attempts_bound) {
+      violations.push_back({where, "upstream queries " +
+                                       std::to_string(upstream) +
+                                       " exceed the retry budget " +
+                                       std::to_string(attempts_bound)});
+    }
+
+    // Invariant 3: a clean RCODE and only registered EDE codes.
+    if (outcome.rcode != dns::RCode::NOERROR &&
+        outcome.rcode != dns::RCode::NXDOMAIN &&
+        outcome.rcode != dns::RCode::SERVFAIL) {
+      violations.push_back(
+          {where, "unexpected RCODE " + dns::to_string(outcome.rcode)});
+    }
+    pass.rcodes[dns::to_string(outcome.rcode)] += 1;
+    for (const auto& error : outcome.errors) {
+      const auto code = static_cast<std::uint16_t>(error.code);
+      pass.ede_codes[code] += 1;
+      if (!edns::is_registered(error.code)) {
+        violations.push_back(
+            {where, "unregistered EDE code " + std::to_string(code)});
+      }
+    }
+
+    // Invariant 4a: no poisoned record is ever served to a client.
+    if (owned_by_marker(outcome.response.answer) ||
+        owned_by_marker(outcome.response.authority) ||
+        owned_by_marker(outcome.response.additional)) {
+      violations.push_back(
+          {where, "poison marker served in a client response"});
+    }
+  }
+};
+
 /// Deterministic hostile-stream schedule for one case: which way the TCP
 /// side dies, how often, and (sometimes) for how long.
 std::vector<sim::StreamBehavior> draw_stream_schedule(
@@ -180,6 +230,7 @@ std::vector<sim::ByzantineBehavior> draw_schedule(crypto::Xoshiro256& rng,
     case sim::ByzantineKind::EdnsBadvers:
     case sim::ByzantineKind::EdnsBufferLie:
     case sim::ByzantineKind::EdnsGarble:
+    case sim::ByzantineKind::EdnsDuplicateOpt:
     case sim::ByzantineKind::SlowDrip:
     default:
       behavior = sim::ByzantineBehavior::slow_drip(
@@ -262,7 +313,6 @@ struct EdnsFamilyRun {
   // profile name -> case index -> {first contact, second contact}.
   std::map<std::string, std::vector<std::array<ContactOutcome, 2>>> outcomes;
   std::map<std::string, PassResult> passes;
-  std::size_t resolutions = 0;
 };
 
 std::string json_escape(const std::string& in) {
@@ -285,9 +335,8 @@ std::string json_escape(const std::string& in) {
 int run_campaign(const CampaignOptions& options) {
   const auto& cases = testbed::all_cases();
   const auto profiles = resolver::all_profiles();
-  std::vector<Violation> violations;
-  std::size_t resolutions = 0;
-  std::uint64_t max_upstream_observed = 0;
+  Checker checker;
+  auto& violations = checker.violations;
 
   // profile name -> seed -> pass aggregate (map keeps report order stable).
   std::map<std::string, std::map<std::size_t, PassResult>> passes;
@@ -316,7 +365,6 @@ int run_campaign(const CampaignOptions& options) {
       // Same schedule RNG seed for every profile: each vendor faces the
       // identical hostile zoo, exactly like the paper's shared testbed.
       crypto::Xoshiro256 schedule_rng(campaign_seed ^ 0x5eedf00d);
-      std::size_t mutated_servers = 0;
       for (const auto& spec : cases) {
         const auto behaviors = draw_schedule(schedule_rng, pass_start);
         const auto address = testbed.server_address(spec.label);
@@ -326,7 +374,6 @@ int run_campaign(const CampaignOptions& options) {
         network->set_mutator(
             *address, sim::make_byzantine_mutator(behaviors, schedule_rng(),
                                                   byz_stats));
-        ++mutated_servers;
       }
 
       auto resolver = testbed.make_resolver(profile);
@@ -353,52 +400,10 @@ int run_campaign(const CampaignOptions& options) {
         }
       }
       for (std::size_t i = 0; i < cases.size(); ++i) {
-        const auto& spec = cases[i];
-        const auto& outcome = outcomes[i];
-        ++resolutions;
-        std::ostringstream where;
-        where << "seed=" << seed << " profile=" << profile.name
-              << " case=" << spec.label;
-
-        // Invariant 2: the watchdog budget bounds upstream work.
-        const auto upstream =
-            static_cast<std::uint64_t>(outcome.upstream_queries);
-        pass.upstream_queries += upstream;
-        pass.max_upstream_queries =
-            std::max(pass.max_upstream_queries, upstream);
-        max_upstream_observed = std::max(max_upstream_observed, upstream);
-        if (upstream > attempts_bound) {
-          violations.push_back({where.str(),
-                                "upstream queries " + std::to_string(upstream) +
-                                    " exceed the retry budget " +
-                                    std::to_string(attempts_bound)});
-        }
-
-        // Invariant 3: a clean RCODE and only registered EDE codes.
-        if (outcome.rcode != dns::RCode::NOERROR &&
-            outcome.rcode != dns::RCode::NXDOMAIN &&
-            outcome.rcode != dns::RCode::SERVFAIL) {
-          violations.push_back(
-              {where.str(), "unexpected RCODE " + dns::to_string(outcome.rcode)});
-        }
-        pass.rcodes[dns::to_string(outcome.rcode)] += 1;
-        for (const auto& error : outcome.errors) {
-          pass.ede_codes[static_cast<std::uint16_t>(error.code)] += 1;
-          if (!edns::is_registered(error.code)) {
-            violations.push_back(
-                {where.str(),
-                 "unregistered EDE code " +
-                     std::to_string(static_cast<std::uint16_t>(error.code))});
-          }
-        }
-
-        // Invariant 4a: no poisoned record is ever served to a client.
-        if (owned_by_marker(outcome.response.answer) ||
-            owned_by_marker(outcome.response.authority) ||
-            owned_by_marker(outcome.response.additional)) {
-          violations.push_back(
-              {where.str(), "poison marker served in a client response"});
-        }
+        checker.check("seed=" + std::to_string(seed) +
+                          " profile=" + profile.name +
+                          " case=" + cases[i].label,
+                      outcomes[i], attempts_bound, pass);
       }
 
       // Invariant 4b: no poisoned record survived into the record cache.
@@ -419,7 +424,6 @@ int run_campaign(const CampaignOptions& options) {
       pass.hardening = resolver.hardening_stats();
       pass.byzantine = *byz_stats;
       passes[profile.name][seed] = std::move(pass);
-      (void)mutated_servers;
 
       // Leave no mutators behind for the next profile's pass (it installs
       // its own fresh set above, but cases without an address must stay
@@ -486,44 +490,12 @@ int run_campaign(const CampaignOptions& options) {
             for (int contact = 0; contact < 2; ++contact) {
               const auto& outcome =
                   got[i][static_cast<std::size_t>(contact)];
-              ++run.resolutions;
-              std::ostringstream where;
-              where << "seed=" << seed << " profile=" << profile.name
-                    << " [edns-zoo" << (batched ? " batch" : "")
-                    << "] case=" << especs[i].label
-                    << (contact == 0 ? " first" : " second");
-              const auto upstream =
-                  static_cast<std::uint64_t>(outcome.upstream_queries);
-              pass.upstream_queries += upstream;
-              pass.max_upstream_queries =
-                  std::max(pass.max_upstream_queries, upstream);
-              max_upstream_observed =
-                  std::max(max_upstream_observed, upstream);
-              if (upstream > attempts_bound) {
-                violations.push_back(
-                    {where.str(),
-                     "upstream queries " + std::to_string(upstream) +
-                         " exceed the retry budget " +
-                         std::to_string(attempts_bound)});
-              }
-              if (outcome.rcode != dns::RCode::NOERROR &&
-                  outcome.rcode != dns::RCode::NXDOMAIN &&
-                  outcome.rcode != dns::RCode::SERVFAIL) {
-                violations.push_back(
-                    {where.str(),
-                     "unexpected RCODE " + dns::to_string(outcome.rcode)});
-              }
-              pass.rcodes[dns::to_string(outcome.rcode)] += 1;
-              for (const auto& error : outcome.errors) {
-                pass.ede_codes[static_cast<std::uint16_t>(error.code)] += 1;
-                if (!edns::is_registered(error.code)) {
-                  violations.push_back(
-                      {where.str(),
-                       "unregistered EDE code " +
-                           std::to_string(
-                               static_cast<std::uint16_t>(error.code))});
-                }
-              }
+              checker.check("seed=" + std::to_string(seed) +
+                                " profile=" + profile.name + " [edns-zoo" +
+                                (batched ? " batch" : "") +
+                                "] case=" + especs[i].label +
+                                (contact == 0 ? " first" : " second"),
+                            outcome, attempts_bound, pass);
               reduced[i][static_cast<std::size_t>(contact)] =
                   reduce_outcome(outcome);
             }
@@ -536,7 +508,6 @@ int run_campaign(const CampaignOptions& options) {
 
       auto one_job_run = run_family(/*batched=*/false);
       const auto batched_run = run_family(/*batched=*/true);
-      resolutions += one_job_run.resolutions + batched_run.resolutions;
 
       // Invariant 6: one wide batch is outcome-equivalent to one-job
       // batches, capability memory included.
@@ -584,50 +555,12 @@ int run_campaign(const CampaignOptions& options) {
         const auto attempts_bound = static_cast<std::uint64_t>(
             resolver.retry_policy().max_total_attempts);
         for (const auto& spec : cases) {
-          const auto outcome =
-              resolver.resolve(testbed.query_name(spec), dns::RRType::A);
-          ++resolutions;
-          std::ostringstream where;
-          where << "seed=" << seed << " profile=" << profile.name
-                << " [hostile-edns] case=" << spec.label;
-
-          const auto upstream =
-              static_cast<std::uint64_t>(outcome.upstream_queries);
-          pass.upstream_queries += upstream;
-          pass.max_upstream_queries =
-              std::max(pass.max_upstream_queries, upstream);
-          max_upstream_observed = std::max(max_upstream_observed, upstream);
-          if (upstream > attempts_bound) {
-            violations.push_back(
-                {where.str(),
-                 "upstream queries " + std::to_string(upstream) +
-                     " exceed the retry budget " +
-                     std::to_string(attempts_bound)});
-          }
-          if (outcome.rcode != dns::RCode::NOERROR &&
-              outcome.rcode != dns::RCode::NXDOMAIN &&
-              outcome.rcode != dns::RCode::SERVFAIL) {
-            violations.push_back(
-                {where.str(),
-                 "unexpected RCODE " + dns::to_string(outcome.rcode)});
-          }
-          pass.rcodes[dns::to_string(outcome.rcode)] += 1;
-          for (const auto& error : outcome.errors) {
-            pass.ede_codes[static_cast<std::uint16_t>(error.code)] += 1;
-            if (!edns::is_registered(error.code)) {
-              violations.push_back(
-                  {where.str(),
-                   "unregistered EDE code " +
-                       std::to_string(
-                           static_cast<std::uint16_t>(error.code))});
-            }
-          }
-          if (owned_by_marker(outcome.response.answer) ||
-              owned_by_marker(outcome.response.authority) ||
-              owned_by_marker(outcome.response.additional)) {
-            violations.push_back(
-                {where.str(), "poison marker served in a client response"});
-          }
+          checker.check("seed=" + std::to_string(seed) +
+                            " profile=" + profile.name +
+                            " [hostile-edns] case=" + spec.label,
+                        resolver.resolve(testbed.query_name(spec),
+                                         dns::RRType::A),
+                        attempts_bound, pass);
         }
 
         pass.hardening = resolver.hardening_stats();
@@ -675,35 +608,16 @@ int run_campaign(const CampaignOptions& options) {
         const resolver::HardeningStats before = resolver.hardening_stats();
         const auto outcome = resolver.resolve(qname, dns::RRType::A);
         const auto step = obs::delta(resolver.hardening_stats(), before);
-        ++resolutions;
-        std::ostringstream where;
-        where << "seed=" << seed << " profile=" << profile.name
-              << " [hostile-tcp] case=" << spec.label;
-
-        const auto upstream =
-            static_cast<std::uint64_t>(outcome.upstream_queries);
-        pass.upstream_queries += upstream;
-        pass.max_upstream_queries =
-            std::max(pass.max_upstream_queries, upstream);
-        max_upstream_observed = std::max(max_upstream_observed, upstream);
-        if (upstream > attempts_bound) {
-          violations.push_back({where.str(),
-                                "upstream queries " + std::to_string(upstream) +
-                                    " exceed the retry budget " +
-                                    std::to_string(attempts_bound)});
-        }
-
-        pass.rcodes[dns::to_string(outcome.rcode)] += 1;
-        bool has_transport_ede = false;
-        for (const auto& error : outcome.errors) {
-          pass.ede_codes[static_cast<std::uint16_t>(error.code)] += 1;
-          const auto code = static_cast<std::uint16_t>(error.code);
-          has_transport_ede |= code == 22 || code == 23;
-          if (!edns::is_registered(error.code)) {
-            violations.push_back(
-                {where.str(), "unregistered EDE code " + std::to_string(code)});
-          }
-        }
+        const std::string where = "seed=" + std::to_string(seed) +
+                                  " profile=" + profile.name +
+                                  " [hostile-tcp] case=" + spec.label;
+        checker.check(where, outcome, attempts_bound, pass);
+        const bool has_transport_ede = std::any_of(
+            outcome.errors.begin(), outcome.errors.end(),
+            [](const auto& error) {
+              const auto code = static_cast<std::uint16_t>(error.code);
+              return code == 22 || code == 23;
+            });
 
         // Invariant 5: a TC bit followed by a failed stream retry must
         // never present as a silent success — and the profiles that map
@@ -711,12 +625,11 @@ int run_campaign(const CampaignOptions& options) {
         if (step.tc_seen > 0 && step.tcp_success == 0) {
           if (outcome.rcode == dns::RCode::NOERROR) {
             violations.push_back(
-                {where.str(), "silent NOERROR after a failed DoTCP fallback"});
+                {where, "silent NOERROR after a failed DoTCP fallback"});
           }
           if (maps_transport && !has_transport_ede) {
             violations.push_back(
-                {where.str(),
-                 "failed stream retry surfaced neither EDE 22 nor 23"});
+                {where, "failed stream retry surfaced neither EDE 22 nor 23"});
           }
         }
       }
@@ -742,9 +655,9 @@ int run_campaign(const CampaignOptions& options) {
        << ", \"base_seed\": " << options.base_seed
        << ", \"latency\": " << (options.latency ? "true" : "false")
        << ", \"async\": " << (options.async ? "true" : "false") << "},\n";
-  json << "  \"invariants\": {\"resolutions\": " << resolutions
+  json << "  \"invariants\": {\"resolutions\": " << checker.resolutions
        << ", \"violations\": " << violations.size()
-       << ", \"max_upstream_queries\": " << max_upstream_observed << "},\n";
+       << ", \"max_upstream_queries\": " << checker.max_upstream << "},\n";
   json << "  \"profiles\": [\n";
   bool first_profile = true;
   for (const auto& [name, seeds] : passes) {
@@ -864,7 +777,7 @@ int run_campaign(const CampaignOptions& options) {
     out << json.str();
   }
 
-  std::cerr << "chaos_campaign: " << resolutions << " resolutions ("
+  std::cerr << "chaos_campaign: " << checker.resolutions << " resolutions ("
             << cases.size() << " cases x " << profiles.size()
             << " profiles x " << options.seeds << " seeds), "
             << violations.size() << " invariant violations\n";

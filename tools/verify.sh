@@ -25,7 +25,9 @@
 #      suite: merge, delta and write_json reach every counter through a
 #      member pointer (DESIGN.md §5l). So do the resolver-cap tests:
 #      they drive nested coroutine resolutions, a glueless nameserver
-#      look-up inside a look-up (DESIGN.md §5g).
+#      look-up inside a look-up (DESIGN.md §5g). So do the resolver
+#      transport tests: they drive a Byzantine mutator's rewritten
+#      answers through the resolver's retry path.
 #   5. configure + build a third tree with EDE_TSAN=ON (-fsanitize=thread)
 #      and run the parallel-scan suite under it — proof that the sharded
 #      scan's worker threads share nothing mutable.
@@ -63,7 +65,8 @@
 #      best-of-3, 5% bound — same methodology as the scan gate).
 #  11. EDNS-compliance zoo (DESIGN.md §5i): the calibrated expected_edns()
 #      tables re-checked under ASan+UBSan (the probe-and-fallback dance is
-#      retry-path code, exactly where lifetime bugs hide), then the
+#      retry-path code, exactly where lifetime bugs hide; the zoo runs
+#      through Byzantine mutators on both transports), then the
 #      hostile-EDNS campaign — the zoo family across all 7 vendor profiles,
 #      case by case and as one wide batch, plus the randomized EDNS
 #      mutator pass — run twice and byte-compared. The E1 lint rule (EDE INFO-CODEs in the
@@ -112,14 +115,14 @@ echo "=== [3/13] hardened-warnings build: EDE_WERROR=ON must compile clean ==="
 cmake -B build-werror -S . -DEDE_WERROR=ON >/dev/null
 cmake --build build-werror -j "$JOBS"
 
-echo "=== [4/13] ASan+UBSan build: codec + robustness + chaos + malformed-corpus + parallel-scan + async core + zone + scan world + counters + resolver caps ==="
+echo "=== [4/13] ASan+UBSan build: codec + robustness + chaos + malformed-corpus + parallel-scan + async core + zone + scan world + counters + resolver caps + resolver transport ==="
 cmake -B build-asan -S . -DEDE_SANITIZE=ON >/dev/null
 cmake --build build-asan -j "$JOBS" --target test_robustness test_chaos \
   test_malformed_corpus test_parallel_scan test_async_core test_name \
   test_wire test_rdata test_message test_codec_golden test_stream \
   test_stream_scenarios test_truncation test_zone test_scan_world \
   test_counters test_resolver
-ctest --test-dir build-asan --output-on-failure -R 'Robust|Chaos|Malformed|Parallel|ScanMerge|PlanShards|ScannerInflight|Name|Wire|Rdata|DecodeRdata|Presentation|TypeBitmap|Message|CodecGolden|Stream|Framing|Truncation|EventScheduler|RetryPolicy|CoalesceKey|AsyncCore|Zone|SignedZone|ScanWorldFixture|Counters|ResolverLimits'
+ctest --test-dir build-asan --output-on-failure -R 'Robust|Chaos|Malformed|Parallel|ScanMerge|PlanShards|ScannerInflight|Name|Wire|Rdata|DecodeRdata|Presentation|TypeBitmap|Message|CodecGolden|Stream|Framing|Truncation|EventScheduler|RetryPolicy|CoalesceKey|AsyncCore|Zone|SignedZone|ScanWorldFixture|Counters|ResolverLimits|ResolverTransport'
 
 echo "=== [5/13] TSan build: parallel-scan + async-core suites ==="
 cmake -B build-tsan -S . -DEDE_TSAN=ON >/dev/null
