@@ -1,6 +1,7 @@
 #include "resolver/cache.hpp"
 
 #include <algorithm>
+#include <type_traits>
 #include <vector>
 
 namespace ede::resolver {
@@ -11,13 +12,46 @@ namespace {
 /// `retention` ago (retention is the stale window for the maps that serve
 /// stale, zero for the SERVFAIL map). A `now` of zero means the caller has
 /// no clock, in which case nothing is provably dead.
-template <typename Entry>
-bool beyond_retention(const Entry& entry, sim::SimTime now,
+bool beyond_retention(sim::SimTime expires, sim::SimTime now,
                       sim::SimTime retention) {
-  return now > 0 && entry.expires < now && now - entry.expires > retention;
+  return now > 0 && expires < now && now - expires > retention;
+}
+
+template <typename Value>
+sim::SimTime expires_of(const Value& value) {
+  if constexpr (requires { value.entry; }) {
+    return value.entry.expires;
+  } else {
+    return value.expires;
+  }
 }
 
 }  // namespace
+
+void Cache::link(PositiveNode& node) {
+  ExpiryList& list = expiry_index_[node.second.entry.expires];
+  node.second.prev = list.tail;
+  node.second.next = nullptr;
+  (list.tail != nullptr ? list.tail->second.next : list.head) = &node;
+  list.tail = &node;
+}
+
+void Cache::unlink(PositiveNode& node) {
+  const auto list = expiry_index_.find(node.second.entry.expires);
+  const Positive& entry = node.second;
+  (entry.prev != nullptr ? entry.prev->second.next : list->second.head) =
+      entry.next;
+  (entry.next != nullptr ? entry.next->second.prev : list->second.tail) =
+      entry.prev;
+  if (list->second.head == nullptr) expiry_index_.erase(list);
+}
+
+template <typename Map>
+typename Map::iterator Cache::erase(Map& map, typename Map::iterator it) {
+  if constexpr (std::is_same_v<typename Map::mapped_type, Positive>)
+    unlink(*it);
+  return map.erase(it);
+}
 
 template <typename Map>
 void Cache::make_room(Map& map, sim::SimTime now, sim::SimTime retention) {
@@ -27,8 +61,8 @@ void Cache::make_room(Map& map, sim::SimTime now, sim::SimTime retention) {
   // existed, dead entries lingered until the map hit the cap and was wiped
   // wholesale — taking every live entry down with them.
   for (auto it = map.begin(); it != map.end();) {
-    if (beyond_retention(it->second, now, retention)) {
-      it = map.erase(it);
+    if (beyond_retention(expires_of(it->second), now, retention)) {
+      it = erase(map, it);
       ++stats_.evicted_expired;
     } else {
       ++it;
@@ -47,28 +81,46 @@ void Cache::make_room(Map& map, sim::SimTime now, sim::SimTime retention) {
 
   std::vector<sim::SimTime> expiries;
   expiries.reserve(map.size());
-  for (const auto& [key, entry] : map) expiries.push_back(entry.expires);
+  for (const auto& [key, value] : map) expiries.push_back(expires_of(value));
   std::nth_element(expiries.begin(),
                    expiries.begin() + static_cast<std::ptrdiff_t>(evict - 1),
                    expiries.end());
   const sim::SimTime cutoff = expiries[evict - 1];
 
-  for (auto it = map.begin(); it != map.end() && evict > 0;) {
-    if (it->second.expires <= cutoff) {
-      it = map.erase(it);
+  // Every entry expiring before the cutoff goes (fewer than `evict` of
+  // them, by the cutoff's rank); the rest of the batch comes from the
+  // entries tied at the cutoff, in canonical key order. So no kept entry
+  // expires before an evicted one, and the choice among ties does not
+  // depend on the hash map's iteration order.
+  std::vector<typename Map::iterator> tied;
+  for (auto it = map.begin(); it != map.end();) {
+    const sim::SimTime expires = expires_of(it->second);
+    if (expires < cutoff) {
+      it = erase(map, it);
       --evict;
       ++stats_.evicted_capacity;
     } else {
+      if (expires == cutoff) tied.push_back(it);
       ++it;
     }
+  }
+  std::sort(tied.begin(), tied.end(), [](const auto& a, const auto& b) {
+    return a->first.canonical_before(b->first);
+  });
+  for (std::size_t i = 0; i < evict; ++i) {
+    erase(map, tied[i]);
+    ++stats_.evicted_capacity;
   }
 }
 
 void Cache::put_positive(PositiveEntry entry, sim::SimTime now) {
   if (!options_.enabled) return;
   make_room(positive_, now, options_.stale_window);
-  CacheKey key{entry.rrset.name, entry.rrset.type};
-  positive_[std::move(key)] = std::move(entry);
+  auto [it, inserted] =
+      positive_.try_emplace(CacheKey{entry.rrset.name, entry.rrset.type});
+  if (!inserted) unlink(*it);
+  it->second.entry = std::move(entry);
+  link(*it);
 }
 
 void Cache::put_negative(const dns::Name& name, dns::RRType type,
@@ -91,12 +143,12 @@ const PositiveEntry* Cache::get_positive(const dns::Name& name,
   if (!options_.enabled) return nullptr;
   ++stats_.lookups;
   const auto it = positive_.find(CacheKey{name, type});
-  if (it == positive_.end() || it->second.expires < now) {
+  if (it == positive_.end() || it->second.entry.expires < now) {
     ++stats_.misses;
     return nullptr;
   }
   ++stats_.hits;
-  return &it->second;
+  return &it->second.entry;
 }
 
 const PositiveEntry* Cache::get_stale_positive(const dns::Name& name,
@@ -108,15 +160,16 @@ const PositiveEntry* Cache::get_stale_positive(const dns::Name& name,
   if (!options_.enabled) return nullptr;
   const auto it = positive_.find(CacheKey{name, type});
   if (it == positive_.end()) return nullptr;
-  if (it->second.expires >= now) {  // still fresh
+  const PositiveEntry& entry = it->second.entry;
+  if (entry.expires >= now) {  // still fresh
     ++stats_.lookups;
     ++stats_.hits;
-    return &it->second;
+    return &entry;
   }
-  if (now - it->second.expires > options_.stale_window) return nullptr;
+  if (now - entry.expires > options_.stale_window) return nullptr;
   ++stats_.lookups;
   ++stats_.stale_hits;
-  return &it->second;
+  return &entry;
 }
 
 const NegativeEntry* Cache::get_negative(const dns::Name& name,
@@ -173,15 +226,18 @@ std::vector<CacheKey> Cache::expiring_within(sim::SimTimeMs within_ms,
   // the next whole second (SimTime is second-granular).
   const sim::SimTime horizon =
       now + static_cast<sim::SimTime>((within_ms + 999) / 1000);
-  for (const auto& [key, entry] : positive_) {
-    if (entry.expires >= now && entry.expires <= horizon)
-      keys.push_back(key);
+  for (auto list = expiry_index_.lower_bound(now);
+       list != expiry_index_.end() && list->first <= horizon; ++list) {
+    for (const PositiveNode* node = list->second.head; node != nullptr;
+         node = node->second.next)
+      keys.push_back(node->first);
   }
   return keys;
 }
 
 void Cache::clear() {
   positive_.clear();
+  expiry_index_.clear();
   negative_.clear();
   servfail_.clear();
 }

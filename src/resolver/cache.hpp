@@ -1,10 +1,14 @@
 // Resolver cache: positive RRset cache, negative cache and a SERVFAIL
 // ("cached error") cache, with optional stale-answer retention
 // (RFC 8767). The stale and cached-error paths are what produce EDE codes
-// 3, 19 and 13 in the paper's wild scan.
+// 3, 19 and 13 in the paper's wild scan. The three maps are hash maps
+// keyed by (name, type); an expiry index orders the positive entries for
+// the prefetcher (DESIGN.md §5m).
 #pragma once
 
+#include <compare>
 #include <map>
+#include <unordered_map>
 #include <vector>
 
 #include "dnscore/counters.hpp"
@@ -14,15 +18,28 @@
 
 namespace ede::resolver {
 
+/// One cache slot. Equality is Name::equals (case-insensitive) plus the
+/// type, and CacheKeyHash agrees with it, so the maps need no name order.
 struct CacheKey {
   dns::Name name;
   dns::RRType type = dns::RRType::A;
 
-  bool operator<(const CacheKey& other) const {
-    if (const auto c = name.canonical_compare(other.name);
-        c != std::strong_ordering::equal)
-      return c == std::strong_ordering::less;
+  bool operator==(const CacheKey&) const = default;
+
+  /// Canonical name order (RFC 4034 §6.1), then type: the explicit
+  /// tie-break of capacity eviction and of the prefetch ranking, the two
+  /// places where an order of keys is observable.
+  [[nodiscard]] bool canonical_before(const CacheKey& other) const {
+    if (const auto c = name.canonical_compare(other.name); std::is_neq(c))
+      return std::is_lt(c);
     return type < other.type;
+  }
+};
+
+struct CacheKeyHash {
+  std::size_t operator()(const CacheKey& key) const {
+    return key.name.hash() ^
+           (static_cast<std::size_t>(key.type) * 0x9e3779b97f4a7c15ULL);
   }
 };
 
@@ -55,13 +72,21 @@ class Cache {
     sim::SimTime stale_window = 86'400 * 7;
     /// Entry cap per map. An insert at the cap first sweeps entries that
     /// are beyond any usefulness (expired longer than the stale window
-    /// ago), then evicts oldest-expiring entries in a small batch — live
-    /// entries are never dropped wholesale.
+    /// ago), then evicts oldest-expiring entries in a small batch (ties
+    /// at the batch's cutoff in canonical key order) — live entries are
+    /// never dropped wholesale, and no kept entry expires before an
+    /// evicted one.
     std::size_t max_entries = 400'000;
   };
 
   explicit Cache(Options options) : options_(options) {}
   Cache() : Cache(Options{}) {}
+  // The expiry index points into positive_'s nodes: a move keeps them, a
+  // copy would not.
+  Cache(const Cache&) = delete;
+  Cache& operator=(const Cache&) = delete;
+  Cache(Cache&&) = default;
+  Cache& operator=(Cache&&) = default;
 
   [[nodiscard]] const Options& options() const { return options_; }
 
@@ -97,11 +122,13 @@ class Cache {
 
   /// Expiry introspection (the prefetcher's view of the cache): keys of
   /// fresh positive entries that expire within `within_ms` of `now`, in
-  /// canonical key order (deterministic for report emitters and the
-  /// prefetch scheduler). Entries already expired are not listed —
-  /// refreshing them is serve-stale's job, not the prefetcher's. A pure
-  /// read: it never touches Stats, so the hits/misses/stale_hits
-  /// partition keeps counting only real serving lookups.
+  /// ascending expiry order, entries expiring in the same second in the
+  /// order they were last written. Read off the expiry index, so the
+  /// cost follows the answer, not the cache size. Entries already
+  /// expired are not listed — refreshing them is serve-stale's job, not
+  /// the prefetcher's. A pure read: it never touches Stats, so the
+  /// hits/misses/stale_hits partition keeps counting only real serving
+  /// lookups.
   [[nodiscard]] std::vector<CacheKey> expiring_within(
       sim::SimTimeMs within_ms, sim::SimTime now) const;
 
@@ -143,13 +170,37 @@ class Cache {
   [[nodiscard]] const Stats& stats() const { return stats_; }
 
  private:
+  /// The expiry index threads every positive entry onto the list of its
+  /// expiry second, in write order; `expiry_index_` maps each second that
+  /// has entries to its list. The links live in the entries themselves
+  /// (hash-map nodes never move), so the index costs two pointers per
+  /// entry plus one node per distinct second, and holds no name.
+  struct Positive;
+  using PositiveNode = std::pair<const CacheKey, Positive>;
+  struct Positive {
+    PositiveEntry entry;
+    PositiveNode* prev = nullptr;
+    PositiveNode* next = nullptr;
+  };
+  struct ExpiryList {
+    PositiveNode* head = nullptr;
+    PositiveNode* tail = nullptr;
+  };
+
   template <typename Map>
   void make_room(Map& map, sim::SimTime now, sim::SimTime retention);
+  /// Erase one entry (and unlink a positive one from the expiry index).
+  template <typename Map>
+  typename Map::iterator erase(Map& map, typename Map::iterator it);
+  /// Append to / remove from the list of the entry's current expiry.
+  void link(PositiveNode& node);
+  void unlink(PositiveNode& node);
 
   Options options_;
-  std::map<CacheKey, PositiveEntry> positive_;
-  std::map<CacheKey, NegativeEntry> negative_;
-  std::map<CacheKey, ServfailEntry> servfail_;
+  std::unordered_map<CacheKey, Positive, CacheKeyHash> positive_;
+  std::unordered_map<CacheKey, NegativeEntry, CacheKeyHash> negative_;
+  std::unordered_map<CacheKey, ServfailEntry, CacheKeyHash> servfail_;
+  std::map<sim::SimTime, ExpiryList> expiry_index_;
   mutable Stats stats_;
 };
 

@@ -170,10 +170,15 @@ sim::Task<RecursiveResolver::QueryResult> RecursiveResolver::query_servers(
   // and zone caches, and replaying them here would mask CNAME loops.
   // The key carries a fingerprint of the candidate server set: a failure
   // recorded against yesterday's NS list must not answer for a probe that
-  // would have tried servers the original never reached.
-  const CoalesceKey key{zone, qname, qtype, fingerprint_servers(servers)};
-  if (options_.coalesce_queries && !ctx.coalesced.empty()) {
-    const auto it = ctx.coalesced.find(key);
+  // would have tried servers the original never reached. The key (two
+  // name copies) is built only to probe a non-empty memo or to record a
+  // failure; the fingerprint is taken before the suspension, while the
+  // caller's server list is certainly alive.
+  const bool coalesce = options_.coalesce_queries;
+  const std::uint64_t fingerprint = coalesce ? fingerprint_servers(servers) : 0;
+  if (coalesce && !ctx.coalesced.empty()) {
+    const auto it =
+        ctx.coalesced.find(CoalesceKey{zone, qname, qtype, fingerprint});
     if (it != ctx.coalesced.end()) {
       ++hardening_.coalesced_queries;
       QueryResult replay = it->second;
@@ -183,8 +188,10 @@ sim::Task<RecursiveResolver::QueryResult> RecursiveResolver::query_servers(
   }
   QueryResult result =
       co_await query_servers_uncoalesced(ctx, zone, servers, qname, qtype);
-  if (options_.coalesce_queries && !result.response.has_value()) {
-    ctx.coalesced.emplace(key, result);
+  if (coalesce && !result.response.has_value()) {
+    ctx.coalesced.emplace(
+        CoalesceKey{std::move(zone), std::move(qname), qtype, fingerprint},
+        result);
   }
   co_return result;
 }
@@ -980,8 +987,8 @@ sim::Task<Outcome> RecursiveResolver::resolve_internal(ResolutionContext& ctx,
                        neg->security);
     }
     if (options_.aggressive_nsec_caching && !denial_cache_.empty()) {
-      // Walk qname's cached ancestor zones root first (the canonical map
-      // order) and use the live proofs this resolution may see.
+      // Walk qname's cached ancestor zones root first (by label count)
+      // and use the live proofs this resolution may see.
       for (std::size_t labels = 0; labels <= qname.label_count(); ++labels) {
         const auto cached = denial_cache_.find(qname.suffix(labels));
         if (cached == denial_cache_.end()) continue;

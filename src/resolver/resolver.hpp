@@ -12,6 +12,7 @@
 #include <memory>
 #include <optional>
 #include <set>
+#include <unordered_map>
 
 #include "dnscore/arena.hpp"
 #include "dnscore/counters.hpp"
@@ -304,17 +305,17 @@ class RecursiveResolver {
     dns::RRType qtype = dns::RRType::A;
     std::uint64_t server_fingerprint = 0;
 
-    bool operator<(const CoalesceKey& other) const {
-      if (const auto c = zone.canonical_compare(other.zone);
-          c != std::strong_ordering::equal)
-        return c == std::strong_ordering::less;
-      if (const auto c = qname.canonical_compare(other.qname);
-          c != std::strong_ordering::equal)
-        return c == std::strong_ordering::less;
-      if (qtype != other.qtype) return qtype < other.qtype;
-      return server_fingerprint < other.server_fingerprint;
+    bool operator==(const CoalesceKey&) const = default;
+  };
+  struct CoalesceKeyHash {
+    std::size_t operator()(const CoalesceKey& key) const {
+      return (key.zone.hash() * 31 + key.qname.hash()) ^
+             (static_cast<std::size_t>(key.qtype) * 0x9e3779b97f4a7c15ULL) ^
+             static_cast<std::size_t>(key.server_fingerprint);
     }
   };
+  using CoalesceMemo =
+      std::unordered_map<CoalesceKey, QueryResult, CoalesceKeyHash>;
 
   /// Order-sensitive fingerprint of a probe's candidate server list.
   [[nodiscard]] static std::uint64_t fingerprint_servers(
@@ -328,7 +329,7 @@ class RecursiveResolver {
     /// Who this resolution is under the batch-snapshot rule.
     ResolutionId id;
     Budget budget;
-    std::map<CoalesceKey, QueryResult> coalesced;
+    CoalesceMemo coalesced;
     /// ResolveJob::refresh for this resolution (prefetch re-fetch).
     bool refresh = false;
     /// Servers THIS resolution learned as plain-DNS-only: the rule's one
@@ -433,12 +434,7 @@ class RecursiveResolver {
     bool secure = false;
     sim::SimTime expires = 0;
   };
-  struct NameCanonicalLess {
-    bool operator()(const dns::Name& a, const dns::Name& b) const {
-      return a.canonical_compare(b) == std::strong_ordering::less;
-    }
-  };
-  std::map<dns::Name, ZoneContext, NameCanonicalLess> zone_cache_;
+  std::unordered_map<dns::Name, ZoneContext, dns::NameHash> zone_cache_;
 
   /// RFC 9567 rate limiting: report QNAMEs already sent this cache
   /// lifetime.
@@ -468,7 +464,7 @@ class RecursiveResolver {
     /// negative answers inherit this bound, never a longer one.
     sim::SimTime expires = 0;
   };
-  std::map<dns::Name, std::vector<DenialRange>, NameCanonicalLess>
+  std::unordered_map<dns::Name, std::vector<DenialRange>, dns::NameHash>
       denial_cache_;
 };
 

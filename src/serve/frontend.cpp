@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <limits>
-#include <map>
+#include <unordered_map>
 #include <utility>
 
 #include "dnssec/findings.hpp"
@@ -45,34 +45,39 @@ FrontEnd::FrontEnd(resolver::RecursiveResolver& resolver,
   options_.wave_ms = std::max<sim::SimTimeMs>(1, options_.wave_ms);
 }
 
-void FrontEnd::run_prefetch(sim::SimTimeMs epoch) {
-  sketch_.tick();
-  if (!options_.prefetch) return;
-  auto& cache = resolver_.cache();
-  const sim::SimTime now = network_.clock().now();
-  const auto expiring =
-      cache.expiring_within(FrontEndOptions::prefetch_horizon_ms, now);
-  if (expiring.empty()) return;
-
-  // Candidates are (estimate desc, canonical key) — expiring_within()
-  // already yields canonical order, so the stable sort's tie-break is
-  // deterministic.
+std::vector<resolver::ResolveJob> rank_prefetch(
+    const std::vector<resolver::CacheKey>& expiring,
+    const PopularitySketch& sketch, std::uint32_t min_popularity,
+    std::size_t limit) {
+  // Filter first: most waves have few expiring keys popular enough, so
+  // only the survivors pay for the sort and the canonical tie-break.
   std::vector<std::pair<std::uint32_t, const resolver::CacheKey*>> ranked;
-  ranked.reserve(expiring.size());
   for (const auto& key : expiring) {
-    const std::uint32_t estimate = sketch_.estimate(key.name);
-    if (estimate >= options_.prefetch_min_popularity)
-      ranked.emplace_back(estimate, &key);
+    const std::uint32_t estimate = sketch.estimate(key.name);
+    if (estimate >= min_popularity) ranked.emplace_back(estimate, &key);
   }
-  std::stable_sort(ranked.begin(), ranked.end(),
-                   [](const auto& a, const auto& b) { return a.first > b.first; });
-  if (ranked.size() > kPrefetchMaxPerWave) ranked.resize(kPrefetchMaxPerWave);
-  if (ranked.empty()) return;
+  std::sort(ranked.begin(), ranked.end(), [](const auto& a, const auto& b) {
+    if (a.first != b.first) return a.first > b.first;
+    return a.second->canonical_before(*b.second);
+  });
+  if (ranked.size() > limit) ranked.resize(limit);
 
   std::vector<resolver::ResolveJob> jobs;
   jobs.reserve(ranked.size());
   for (const auto& [estimate, key] : ranked)
     jobs.push_back({key->name, key->type, /*refresh=*/true});
+  return jobs;
+}
+
+void FrontEnd::run_prefetch(sim::SimTimeMs epoch) {
+  sketch_.tick();
+  if (!options_.prefetch) return;
+  auto& cache = resolver_.cache();
+  const sim::SimTime now = network_.clock().now();
+  const auto jobs = rank_prefetch(
+      cache.expiring_within(FrontEndOptions::prefetch_horizon_ms, now),
+      sketch_, options_.prefetch_min_popularity, kPrefetchMaxPerWave);
+  if (jobs.empty()) return;
 
   std::uint64_t upstream = 0;
   resolver_.resolve_many(jobs, options_.inflight,
@@ -96,6 +101,9 @@ std::vector<ClientAnswer> FrontEnd::serve(const StubTrace& trace) {
   // decides whether a retransmit is live or absorbed.
   std::vector<sim::SimTimeMs> answered_at(trace.id_count, kUnanswered);
 
+  // Per-wave (qname, qtype) → job slot; `jobs` carries the order.
+  std::unordered_map<resolver::CacheKey, std::size_t, resolver::CacheKeyHash>
+      job_of;
   sim::SimTimeMs last_wave_end = 0;
   std::size_t i = 0;
   while (i < trace.queries.size()) {
@@ -115,7 +123,7 @@ std::vector<ClientAnswer> FrontEnd::serve(const StubTrace& trace) {
 
     // Dedup the wave into distinct resolutions; absorb dead retransmits.
     std::vector<resolver::ResolveJob> jobs;
-    std::map<resolver::CacheKey, std::size_t> job_of;
+    job_of.clear();
     constexpr std::size_t kSuppressed = std::numeric_limits<std::size_t>::max();
     std::vector<std::size_t> query_job(j - i, kSuppressed);
     for (std::size_t k = i; k < j; ++k) {

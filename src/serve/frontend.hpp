@@ -106,6 +106,14 @@ struct ServeStats {
 };
 static_assert(obs::covers_every_member<ServeStats>());
 
+/// The prefetch pass's pick (DESIGN.md §5h): the expiring keys whose
+/// sketch estimate reaches `min_popularity`, most popular first, ties in
+/// canonical key order, at most `limit` of them, as refresh jobs.
+[[nodiscard]] std::vector<resolver::ResolveJob> rank_prefetch(
+    const std::vector<resolver::CacheKey>& expiring,
+    const PopularitySketch& sketch, std::uint32_t min_popularity,
+    std::size_t limit);
+
 class FrontEnd {
  public:
   FrontEnd(resolver::RecursiveResolver& resolver, sim::Network& network,

@@ -38,9 +38,6 @@ class PopularitySketch {
   void tick();
 
  private:
-  [[nodiscard]] std::size_t cell(const dns::Name& name,
-                                 std::uint32_t row) const;
-
   Options options_;
   std::uint32_t tick_count_ = 0;
   std::vector<std::uint32_t> cells_;  // rows × cols, row-major

@@ -5,8 +5,32 @@
 
 namespace ede::zone {
 
-void Zone::insert(NodeMap& nodes, const dns::ResourceRecord& rr) {
-  auto& node = nodes[rr.name];
+Zone::Zone(const Zone& other)
+    : origin_(other.origin_),
+      default_ttl_(other.default_ttl_),
+      nodes_(other.nodes_),
+      pending_(other.pending_) {
+  index_.reserve(nodes_.size());
+  for (auto node = nodes_.begin(); node != nodes_.end(); ++node)
+    index_.insert(node);
+}
+
+Zone& Zone::operator=(const Zone& other) {
+  if (this != &other) *this = Zone(other);
+  return *this;
+}
+
+Zone::Node Zone::find_node(const dns::Name& name) const {
+  const auto slot = index_.find(name);
+  return slot == index_.end() ? nodes_.end() : *slot;
+}
+
+Zone::Node Zone::erase_node(Node node) {
+  index_.erase(node);
+  return nodes_.erase(node);
+}
+
+void Zone::merge(TypeMap& node, const dns::ResourceRecord& rr) {
   auto it = node.find(rr.type);
   if (it == node.end()) {
     node.emplace(rr.type,
@@ -19,7 +43,12 @@ void Zone::insert(NodeMap& nodes, const dns::ResourceRecord& rr) {
 
 void Zone::add(const dns::ResourceRecord& rr) {
   materialize_signatures();
-  insert(nodes_, rr);
+  Node node = find_node(rr.name);
+  if (node == nodes_.end()) {
+    node = nodes_.try_emplace(rr.name).first;
+    index_.insert(node);
+  }
+  merge(node->second, rr);
 }
 
 void Zone::add(const dns::Name& name, dns::RRType type, dns::Rdata rdata) {
@@ -34,10 +63,10 @@ void Zone::add(const dns::Name& name, dns::RRType type, dns::Rdata rdata,
 
 bool Zone::remove(const dns::Name& name, dns::RRType type) {
   materialize_signatures();
-  const auto node = nodes_.find(name);
+  const Node node = find_node(name);
   if (node == nodes_.end()) return false;
   const bool removed = node->second.erase(type) > 0;
-  if (node->second.empty()) nodes_.erase(node);
+  if (node->second.empty()) erase_node(node);
   return removed;
 }
 
@@ -58,7 +87,7 @@ std::size_t Zone::remove_signatures_covering(dns::RRType covered) {
       if (rdatas.empty()) node->second.erase(sig_set);
     }
     if (node->second.empty()) {
-      node = nodes_.erase(node);
+      node = erase_node(node);
     } else {
       ++node;
     }
@@ -76,7 +105,7 @@ std::size_t Zone::remove_all_signatures() {
       node->second.erase(sig_set);
     }
     if (node->second.empty()) {
-      node = nodes_.erase(node);
+      node = erase_node(node);
     } else {
       ++node;
     }
@@ -91,7 +120,7 @@ const dns::RRset* Zone::find(const dns::Name& name, dns::RRType type) const {
 
 const dns::RRset* Zone::find_stored(const dns::Name& name,
                                     dns::RRType type) const {
-  const auto node = nodes_.find(name);
+  const Node node = find_node(name);
   if (node == nodes_.end()) return nullptr;
   const auto it = node->second.find(type);
   return it == node->second.end() ? nullptr : &it->second;
@@ -99,7 +128,7 @@ const dns::RRset* Zone::find_stored(const dns::Name& name,
 
 dns::RRset* Zone::find_mutable(const dns::Name& name, dns::RRType type) {
   materialize_signatures();
-  const auto node = nodes_.find(name);
+  const Node node = find_node(name);
   if (node == nodes_.end()) return nullptr;
   const auto it = node->second.find(type);
   return it == node->second.end() ? nullptr : &it->second;
@@ -108,7 +137,7 @@ dns::RRset* Zone::find_mutable(const dns::Name& name, dns::RRType type) {
 std::vector<const dns::RRset*> Zone::at(const dns::Name& name) const {
   materialize_signatures();
   std::vector<const dns::RRset*> out;
-  const auto node = nodes_.find(name);
+  const Node node = find_node(name);
   if (node == nodes_.end()) return out;
   out.reserve(node->second.size());
   for (const auto& [type, set] : node->second) out.push_back(&set);
@@ -164,17 +193,19 @@ const std::vector<dns::RrsigRdata>& Zone::sign(
 void Zone::materialize_signatures() const {
   if (!pending_) return;
   for (auto& target : pending_->targets) {
-    const std::uint32_t ttl = find_stored(target.owner, target.type)->ttl;
+    // A target is a stored RRset, so its owner's node exists.
+    TypeMap& node = find_node(target.owner)->second;
+    const std::uint32_t ttl = node.at(target.type).ttl;
     for (const auto& sig : sign(target)) {
-      insert(nodes_, {target.owner, dns::RRType::RRSIG, dns::RRClass::IN, ttl,
-                      dns::Rdata{sig}});
+      merge(node, {target.owner, dns::RRType::RRSIG, dns::RRClass::IN, ttl,
+                   dns::Rdata{sig}});
     }
   }
   pending_.reset();
 }
 
 bool Zone::name_exists(const dns::Name& name) const {
-  if (nodes_.count(name) != 0) return true;
+  if (find_node(name) != nodes_.end()) return true;
   // Empty non-terminals exist too.
   for (const auto& [owner, types] : nodes_) {
     (void)types;

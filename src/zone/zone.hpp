@@ -1,10 +1,13 @@
 // Authoritative zone contents: RRsets indexed by owner name (canonical
 // order) and type, plus the lookup primitives an authoritative server
 // needs (closest delegation, existence checks, NSEC3 chain neighbours).
+// Point lookups go through a hash index; canonical order is walked only
+// to list names and to materialize signatures (DESIGN.md §5m).
 #pragma once
 
 #include <map>
 #include <optional>
+#include <unordered_set>
 #include <vector>
 
 #include "dnscore/rr.hpp"
@@ -41,6 +44,12 @@ class Zone {
  public:
   explicit Zone(dns::Name origin, std::uint32_t default_ttl = 3600)
       : origin_(std::move(origin)), default_ttl_(default_ttl) {}
+  // The lookup index holds iterators into the node map: a move carries
+  // them along with the nodes, a copy rebuilds them over its own nodes.
+  Zone(const Zone& other);
+  Zone& operator=(const Zone& other);
+  Zone(Zone&&) = default;
+  Zone& operator=(Zone&&) = default;
 
   [[nodiscard]] const dns::Name& origin() const { return origin_; }
   [[nodiscard]] std::uint32_t default_ttl() const { return default_ttl_; }
@@ -104,8 +113,27 @@ class Zone {
  private:
   using TypeMap = std::map<dns::RRType, dns::RRset>;
   using NodeMap = std::map<dns::Name, TypeMap, CanonicalLess>;
+  using Node = NodeMap::iterator;
+  /// Hashes and compares an index slot by its node's owner name, and a
+  /// bare name the same way (heterogeneous lookup), so the index stores
+  /// no name of its own.
+  struct NodeHash {
+    using is_transparent = void;
+    std::size_t operator()(const dns::Name& name) const { return name.hash(); }
+    std::size_t operator()(Node node) const { return node->first.hash(); }
+  };
+  struct NodeEq {
+    using is_transparent = void;
+    bool operator()(Node a, Node b) const { return a == b; }
+    bool operator()(const dns::Name& a, Node b) const { return a == b->first; }
+    bool operator()(Node a, const dns::Name& b) const { return a->first == b; }
+  };
 
-  static void insert(NodeMap& nodes, const dns::ResourceRecord& rr);
+  /// The node owning `name`, or nodes_.end(); one hash probe.
+  [[nodiscard]] Node find_node(const dns::Name& name) const;
+  /// Erase a node from the map and the index.
+  Node erase_node(Node node);
+  static void merge(TypeMap& node, const dns::ResourceRecord& rr);
   /// find() without materializing.
   [[nodiscard]] const dns::RRset* find_stored(const dns::Name& name,
                                               dns::RRType type) const;
@@ -116,7 +144,11 @@ class Zone {
   dns::Name origin_;
   std::uint32_t default_ttl_;
   // Mutable: materializing pending signatures is not an observable change.
+  // The map keeps canonical order for names() and materialization; the
+  // index serves every point lookup. Both are thread-confined like the
+  // pending state (DESIGN.md §5k).
   mutable NodeMap nodes_;
+  std::unordered_set<Node, NodeHash, NodeEq> index_;
   mutable std::optional<PendingSignatures> pending_;
 };
 

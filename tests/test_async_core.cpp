@@ -5,7 +5,6 @@
 // and the retry-backoff clamp.
 #include <gtest/gtest.h>
 
-#include <map>
 #include <vector>
 
 #include "resolver/resolver.hpp"
@@ -20,6 +19,8 @@ namespace ede::resolver {
 /// (befriended in resolver.hpp).
 struct ResolverTestAccess {
   using Key = RecursiveResolver::CoalesceKey;
+  /// The memo's real container (ResolutionContext::coalesced).
+  using Memo = RecursiveResolver::CoalesceMemo;
   static std::uint64_t fingerprint(
       const std::vector<sim::NodeAddress>& servers) {
     return RecursiveResolver::fingerprint_servers(servers);
@@ -198,12 +199,18 @@ TEST(CoalesceKey, ServerSetIsPartOfTheKey) {
                            Access::fingerprint(wide)};
   // The regression: a failure memoized against the narrow server set must
   // not be replayed once the candidate set widens — the keys have to be
-  // distinct map entries.
-  std::map<Access::Key, int> memo;
-  memo[against_narrow] = 1;
+  // distinct memo entries.
+  Access::Memo memo;
+  memo[against_narrow].queries = 1;
   EXPECT_EQ(memo.count(against_wide), 0u);
-  memo[against_wide] = 2;
+  memo[against_wide].queries = 2;
   EXPECT_EQ(memo.size(), 2u);
+  // Names match case-insensitively, as Name::equals does.
+  const Access::Key shouted{dns::Name::of("ZONE.test"),
+                            dns::Name::of("A.Zone.TEST"), dns::RRType::A,
+                            Access::fingerprint(narrow)};
+  ASSERT_EQ(memo.count(shouted), 1u);
+  EXPECT_EQ(memo.at(shouted).queries, 1);
 
   // Same set twice fingerprints identically (the memo still coalesces).
   EXPECT_EQ(Access::fingerprint(wide), Access::fingerprint(wide));

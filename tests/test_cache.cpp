@@ -2,6 +2,8 @@
 // cache, eviction caps and statistics.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "resolver/cache.hpp"
 
 namespace {
@@ -152,6 +154,39 @@ TEST(Cache, CapacityEvictionTakesTheOldestExpiringFirst) {
   EXPECT_EQ(cache.stats().evicted_expired, 0u);
 }
 
+// Regression: pass 2 used to erase the first `evict` entries expiring at
+// or before the cutoff in map order, so entries tied at the cutoff could
+// go while an older one stayed. Everything older than the cutoff goes
+// first; ties at the cutoff go in canonical key order.
+TEST(Cache, CapacityEvictionNeverKeepsAnEntryOlderThanOneItEvicts) {
+  Cache::Options options;
+  options.max_entries = 32;
+  Cache cache(options);
+  cache.put_positive(entry_for("a1.test", 200), 50);
+  cache.put_positive(entry_for("a2.test", 200), 50);
+  cache.put_positive(entry_for("old.test", 100), 50);
+  for (int i = 0; i < 29; ++i) {
+    cache.put_positive(entry_for(("z" + std::to_string(i) + ".test").c_str(),
+                                 static_cast<ede::sim::SimTime>(300 + i)),
+                       50);
+  }
+  ASSERT_EQ(cache.size(), 32u);
+  // The cap batch is 32 / 16 = 2 entries: old.test and then a1.test, the
+  // canonically first of the two entries tied at the cutoff (200).
+  cache.put_positive(entry_for("new.test", 900), 50);
+
+  EXPECT_EQ(cache.stats().evicted_capacity, 2u);
+  EXPECT_EQ(cache.get_positive(Name::of("old.test"), RRType::A, 60), nullptr);
+  EXPECT_EQ(cache.get_positive(Name::of("a1.test"), RRType::A, 60), nullptr);
+  EXPECT_NE(cache.get_positive(Name::of("a2.test"), RRType::A, 60), nullptr);
+  EXPECT_NE(cache.get_positive(Name::of("new.test"), RRType::A, 60), nullptr);
+  EXPECT_EQ(cache.size(), 31u);
+  // The expiry index lost the evicted entries with them.
+  const auto keys = cache.expiring_within(1'000'000, /*now=*/60);
+  ASSERT_EQ(keys.size(), 31u);
+  EXPECT_EQ(keys.front().name, Name::of("a2.test"));
+}
+
 TEST(Cache, InsertAtCapacitySweepsEntriesPastTheStaleHorizon) {
   Cache::Options options;
   options.max_entries = 4;
@@ -259,7 +294,7 @@ TEST(Cache, StatsPartitionLookupsExactly) {
 
 // --- expiry introspection (the prefetcher's view) ------------------------
 
-TEST(Cache, ExpiringWithinListsTheHorizonInCanonicalOrder) {
+TEST(Cache, ExpiringWithinListsTheHorizonInExpiryOrder) {
   Cache cache;
   cache.put_positive(entry_for("soon.test", 1010));
   cache.put_positive(entry_for("later.test", 1200));
@@ -268,7 +303,7 @@ TEST(Cache, ExpiringWithinListsTheHorizonInCanonicalOrder) {
 
   const auto keys = cache.expiring_within(30'000, /*now=*/1000);
   ASSERT_EQ(keys.size(), 2u);
-  // Canonical key order (deterministic for the prefetch scheduler).
+  // Soonest expiry first (deterministic for the prefetch scheduler).
   EXPECT_EQ(keys[0].name, Name::of("aaa-soon.test"));
   EXPECT_EQ(keys[1].name, Name::of("soon.test"));
 
@@ -279,6 +314,63 @@ TEST(Cache, ExpiringWithinListsTheHorizonInCanonicalOrder) {
 
   // A wide-open horizon lists every fresh entry, never the expired one.
   EXPECT_EQ(cache.expiring_within(1'000'000, /*now=*/1000).size(), 3u);
+}
+
+TEST(Cache, ExpiringWithinIsExpiryOrderNotNameOrder) {
+  Cache cache;
+  cache.put_positive(entry_for("aaa.test", 1008));
+  cache.put_positive(entry_for("zzz.test", 1003));
+  // Two entries expiring in the same second: insertion order.
+  cache.put_positive(entry_for("m2.test", 1020));
+  cache.put_positive(entry_for("m1.test", 1020));
+
+  const auto keys = cache.expiring_within(30'000, /*now=*/1000);
+  ASSERT_EQ(keys.size(), 4u);
+  EXPECT_EQ(keys[0].name, Name::of("zzz.test"));
+  EXPECT_EQ(keys[1].name, Name::of("aaa.test"));
+  EXPECT_EQ(keys[2].name, Name::of("m2.test"));
+  EXPECT_EQ(keys[3].name, Name::of("m1.test"));
+}
+
+TEST(Cache, ExpiringWithinListsAnOverwrittenEntryOnceAtItsNewExpiry) {
+  Cache cache;
+  cache.put_positive(entry_for("a.test", 1010));
+  cache.put_positive(entry_for("b.test", 1020));
+  cache.put_positive(entry_for("A.Test", 1030));  // overwrites a.test
+
+  const auto keys = cache.expiring_within(60'000, /*now=*/1000);
+  ASSERT_EQ(keys.size(), 2u);
+  EXPECT_EQ(keys[0].name, Name::of("b.test"));
+  EXPECT_EQ(keys[1].name, Name::of("a.test"));
+  // Moved out of the old expiry's window with the overwrite.
+  EXPECT_TRUE(cache.expiring_within(15'000, /*now=*/1000).empty());
+}
+
+TEST(Cache, ExpiringWithinForgetsEvictedAndClearedEntries) {
+  Cache::Options options;
+  options.max_entries = 2;
+  options.stale_window = 10;
+  Cache cache(options);
+  cache.put_positive(entry_for("dead.test", 100), 100);
+  cache.put_positive(entry_for("old.test", 1005), 100);
+  // At the cap with the clock at 200, dead.test is past its stale window
+  // and swept; at the cap again, the batch of one evicts old.test.
+  cache.put_positive(entry_for("new.test", 1010), 200);
+  EXPECT_EQ(cache.stats().evicted_expired, 1u);
+  cache.put_positive(entry_for("newer.test", 1020), 200);
+  EXPECT_EQ(cache.stats().evicted_capacity, 1u);
+
+  // A horizon from time zero would list all four, had the index kept them.
+  const auto keys = cache.expiring_within(10'000'000, /*now=*/0);
+  ASSERT_EQ(keys.size(), 2u);
+  EXPECT_EQ(keys[0].name, Name::of("new.test"));
+  EXPECT_EQ(keys[1].name, Name::of("newer.test"));
+
+  cache.clear();
+  EXPECT_TRUE(cache.expiring_within(10'000'000, /*now=*/0).empty());
+  // A cleared cache starts its index afresh.
+  cache.put_positive(entry_for("again.test", 1010), 200);
+  ASSERT_EQ(cache.expiring_within(10'000'000, /*now=*/0).size(), 1u);
 }
 
 TEST(Cache, IntrospectionNeverTouchesTheStats) {

@@ -5,9 +5,11 @@
 // answer-changing one.
 #include <gtest/gtest.h>
 
+#include <cctype>
 #include <map>
 #include <memory>
 #include <set>
+#include <string>
 
 #include "dnscore/message.hpp"
 #include "resolver/forwarder.hpp"
@@ -122,6 +124,53 @@ TEST(PopularitySketch, ConservativeCountsAndDecay) {
   EXPECT_EQ(sketch.estimate(hot), 2u);
 }
 
+// The prefetch pick ranks by estimate, and estimate ties canonically: the
+// cache lists expiring keys in expiry order (ties in insertion order), so
+// the ranking must not depend on which key the cache saw first.
+TEST(FrontEnd, PrefetchRankingBreaksEstimateTiesCanonically) {
+  serve::PopularitySketch sketch;
+  for (const char* name : {"b.example", "a.example", "c.example"}) {
+    for (int i = 0; i < 4; ++i) sketch.observe(dns::Name::of(name));
+  }
+  for (int i = 0; i < 6; ++i) sketch.observe(dns::Name::of("hot.example"));
+  sketch.observe(dns::Name::of("cold.example"));
+
+  const auto expiring_after = [](std::initializer_list<const char*> order) {
+    resolver::Cache cache;
+    for (const char* name : order) {
+      resolver::PositiveEntry entry;
+      entry.rrset = dns::RRset{dns::Name::of(name), dns::RRType::A,
+                               dns::RRClass::IN, 300, {}};
+      entry.expires = 1'010;
+      cache.put_positive(std::move(entry));
+    }
+    return cache.expiring_within(30'000, /*now=*/1'000);
+  };
+  const auto forward = expiring_after(
+      {"a.example", "b.example", "c.example", "hot.example", "cold.example"});
+  const auto backward = expiring_after(
+      {"cold.example", "hot.example", "c.example", "b.example", "a.example"});
+  ASSERT_EQ(forward.size(), 5u);
+  EXPECT_EQ(forward.front().name, dns::Name::of("a.example"));
+  EXPECT_EQ(backward.front().name, dns::Name::of("cold.example"));
+
+  const auto names = [](const std::vector<resolver::ResolveJob>& jobs) {
+    std::vector<std::string> out;
+    for (const auto& job : jobs) {
+      EXPECT_TRUE(job.refresh);
+      out.push_back(job.qname.to_string());
+    }
+    return out;
+  };
+  const std::vector<std::string> expected = {"hot.example.", "a.example.",
+                                             "b.example.", "c.example."};
+  EXPECT_EQ(names(serve::rank_prefetch(forward, sketch, 2, 16)), expected);
+  EXPECT_EQ(names(serve::rank_prefetch(backward, sketch, 2, 16)), expected);
+  // The per-wave cap keeps the head of the ranking.
+  EXPECT_EQ(names(serve::rank_prefetch(backward, sketch, 2, 2)),
+            (std::vector<std::string>{"hot.example.", "a.example."}));
+}
+
 // --- the front end over a small serving world ----------------------------
 
 struct ServingStack {
@@ -225,6 +274,52 @@ TEST(FrontEnd, PrefetchRunsOffTheClientPath) {
   // The prefetcher's refresh traffic is accounted separately from the
   // client-facing resolutions.
   EXPECT_GT(stats.upstream_queries, 0u);
+}
+
+// The wave's job map matches names as Name::equals does: two spellings
+// of one (qname, qtype) in one wave are one resolution.
+TEST(FrontEnd, CaseVariantsInOneWaveCoalesceIntoOneJob) {
+  const auto population = small_population();
+  const scan::DomainSpec* healthy = nullptr;
+  for (const auto& spec : population.domains) {
+    if (spec.category == scan::Category::Healthy) {
+      healthy = &spec;
+      break;
+    }
+  }
+  ASSERT_NE(healthy, nullptr);
+  std::string shouted = healthy->fqdn;
+  for (char& c : shouted) c = static_cast<char>(std::toupper(c));
+
+  serve::StubTrace trace;
+  const auto query = [&](std::uint32_t id, sim::SimTimeMs arrival,
+                         const std::string& qname, dns::RRType qtype) {
+    serve::StubQuery q;
+    q.arrival_ms = arrival;
+    q.id = id;
+    q.client = id;
+    q.qname = dns::Name::of(qname);
+    q.qtype = qtype;
+    return q;
+  };
+  trace.queries = {query(0, 0, shouted, dns::RRType::A),
+                   query(1, 5, healthy->fqdn, dns::RRType::A),
+                   query(2, 9, healthy->fqdn, dns::RRType::AAAA)};
+  trace.id_count = 3;
+
+  auto stack = make_stack(population, /*seed=*/11);
+  serve::FrontEnd frontend(*stack.resolver, *stack.network, {});
+  const auto answers = frontend.serve(trace);
+  const auto& stats = frontend.stats();
+  EXPECT_EQ(stats.waves, 1u);
+  EXPECT_EQ(stats.served, 3u);
+  // The two A spellings share one job; the AAAA query is its own.
+  EXPECT_EQ(stats.coalesced, 1u);
+  ASSERT_EQ(answers.size(), 3u);
+  EXPECT_EQ(answers[0].rcode, dns::RCode::NOERROR);
+  EXPECT_EQ(answers[1].rcode, answers[0].rcode);
+  EXPECT_EQ(answers[1].latency_ms, answers[0].latency_ms);
+  EXPECT_EQ(answers[1].ede, answers[0].ede);
 }
 
 // The serving stack's resolver on the wire, through the same endpoint a

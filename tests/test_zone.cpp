@@ -2,6 +2,8 @@
 // every authoritative RRset signed, closed NSEC3 chain, correct DS.
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "crypto/encoding.hpp"
 #include "dnssec/nsec3.hpp"
 #include "edns/edns.hpp"
@@ -61,6 +63,81 @@ TEST(Zone, RemoveDeletesRrset) {
   EXPECT_TRUE(zone.remove(Name::of("www.example.com"), RRType::A));
   EXPECT_FALSE(zone.remove(Name::of("www.example.com"), RRType::A));
   EXPECT_EQ(zone.find(Name::of("www.example.com"), RRType::A), nullptr);
+}
+
+// Every point lookup goes through the hash index, which must match names
+// as Name::equals does.
+TEST(Zone, MixedCaseLookupsHit) {
+  Zone zone = make_basic_zone();
+  const Name mixed = Name::of("Www.Example.COM");
+  EXPECT_NE(zone.find(mixed, RRType::A), nullptr);
+  EXPECT_NE(zone.find_mutable(mixed, RRType::A), nullptr);
+  EXPECT_EQ(zone.at(mixed).size(), 1u);
+  EXPECT_TRUE(zone.name_exists(mixed));
+  // An add under another spelling merges into the existing RRset.
+  zone.add(Name::of("WWW.example.com"), RRType::A,
+           ARdata{*Ipv4Address::parse("192.0.2.3")});
+  EXPECT_EQ(zone.find(mixed, RRType::A)->rdatas.size(), 2u);
+  EXPECT_EQ(zone.names().size(), make_basic_zone().names().size());
+  EXPECT_TRUE(zone.remove(mixed, RRType::A));
+  EXPECT_EQ(zone.find(Name::of("www.example.com"), RRType::A), nullptr);
+}
+
+TEST(Zone, RemoveThenFindReturnsNull) {
+  Zone zone = make_basic_zone();
+  const Name www = Name::of("www.example.com");
+  ASSERT_TRUE(zone.remove(www, RRType::A));
+  EXPECT_EQ(zone.find(www, RRType::A), nullptr);
+  EXPECT_EQ(zone.find_mutable(www, RRType::A), nullptr);
+  EXPECT_TRUE(zone.at(www).empty());
+  EXPECT_FALSE(zone.name_exists(www));
+  EXPECT_FALSE(zone.remove(www, RRType::A));
+  // The name can come back, and lookups find the new node.
+  zone.add(www, RRType::AAAA, AaaaRdata{*Ipv6Address::parse("2001:db8::2")});
+  EXPECT_NE(zone.find(www, RRType::AAAA), nullptr);
+  EXPECT_EQ(zone.find(www, RRType::A), nullptr);
+}
+
+TEST(Zone, CopyStaysUsableAfterItsOriginalIsDestroyed) {
+  auto original = std::make_unique<Zone>(make_basic_zone());
+  Zone copy = *original;
+  Zone assigned(Name::of("other.test"));
+  assigned = *original;
+  original.reset();
+  for (Zone* zone : {&copy, &assigned}) {
+    EXPECT_EQ(zone->origin(), Name::of("example.com"));
+    EXPECT_NE(zone->find(Name::of("www.example.com"), RRType::A), nullptr);
+    EXPECT_TRUE(zone->name_exists(Name::of("example.com")));
+    zone->add(Name::of("new.example.com"), RRType::A,
+              ARdata{*Ipv4Address::parse("192.0.2.4")});
+    EXPECT_NE(zone->find(Name::of("new.example.com"), RRType::A), nullptr);
+    EXPECT_TRUE(zone->remove(Name::of("www.example.com"), RRType::A));
+    EXPECT_EQ(zone->find(Name::of("www.example.com"), RRType::A), nullptr);
+  }
+  // The copies are independent of each other.
+  copy.add(Name::of("only-in-copy.example.com"), RRType::A,
+           ARdata{*Ipv4Address::parse("192.0.2.5")});
+  EXPECT_EQ(assigned.find(Name::of("only-in-copy.example.com"), RRType::A),
+            nullptr);
+}
+
+TEST(Zone, MovedToZoneStaysUsable) {
+  Zone source = make_basic_zone();
+  Zone moved = std::move(source);
+  EXPECT_NE(moved.find(Name::of("www.example.com"), RRType::A), nullptr);
+  moved.add(Name::of("new.example.com"), RRType::A,
+            ARdata{*Ipv4Address::parse("192.0.2.4")});
+  EXPECT_NE(moved.find(Name::of("new.example.com"), RRType::A), nullptr);
+  EXPECT_TRUE(moved.remove(Name::of("www.example.com"), RRType::A));
+  EXPECT_EQ(moved.find(Name::of("www.example.com"), RRType::A), nullptr);
+
+  Zone assigned(Name::of("other.test"));
+  assigned = std::move(moved);
+  EXPECT_EQ(assigned.origin(), Name::of("example.com"));
+  EXPECT_NE(assigned.find(Name::of("new.example.com"), RRType::A), nullptr);
+  EXPECT_TRUE(assigned.name_exists(Name::of("ns1.example.com")));
+  EXPECT_TRUE(assigned.remove(Name::of("new.example.com"), RRType::A));
+  EXPECT_FALSE(assigned.name_exists(Name::of("new.example.com")));
 }
 
 TEST(Zone, NameExistsIncludesEmptyNonTerminals) {

@@ -27,7 +27,9 @@
 #      they drive nested coroutine resolutions, a glueless nameserver
 #      look-up inside a look-up (DESIGN.md §5g). So do the resolver
 #      transport tests: they drive a Byzantine mutator's rewritten
-#      answers through the resolver's retry path.
+#      answers through the resolver's retry path. So do the cache and
+#      serving suites: the cache's expiry index and the zone's lookup
+#      index hold pointers into hash- and tree-map nodes (DESIGN.md §5m).
 #   5. configure + build a third tree with EDE_TSAN=ON (-fsanitize=thread)
 #      and run the parallel-scan suite under it — proof that the sharded
 #      scan's worker threads share nothing mutable.
@@ -115,14 +117,14 @@ echo "=== [3/13] hardened-warnings build: EDE_WERROR=ON must compile clean ==="
 cmake -B build-werror -S . -DEDE_WERROR=ON >/dev/null
 cmake --build build-werror -j "$JOBS"
 
-echo "=== [4/13] ASan+UBSan build: codec + robustness + chaos + malformed-corpus + parallel-scan + async core + zone + scan world + counters + resolver caps + resolver transport ==="
+echo "=== [4/13] ASan+UBSan build: codec + robustness + chaos + malformed-corpus + parallel-scan + async core + zone + scan world + counters + resolver caps + resolver transport + cache + serving ==="
 cmake -B build-asan -S . -DEDE_SANITIZE=ON >/dev/null
 cmake --build build-asan -j "$JOBS" --target test_robustness test_chaos \
   test_malformed_corpus test_parallel_scan test_async_core test_name \
   test_wire test_rdata test_message test_codec_golden test_stream \
   test_stream_scenarios test_truncation test_zone test_scan_world \
-  test_counters test_resolver
-ctest --test-dir build-asan --output-on-failure -R 'Robust|Chaos|Malformed|Parallel|ScanMerge|PlanShards|ScannerInflight|Name|Wire|Rdata|DecodeRdata|Presentation|TypeBitmap|Message|CodecGolden|Stream|Framing|Truncation|EventScheduler|RetryPolicy|CoalesceKey|AsyncCore|Zone|SignedZone|ScanWorldFixture|Counters|ResolverLimits|ResolverTransport'
+  test_counters test_resolver test_cache test_serve
+ctest --test-dir build-asan --output-on-failure -R 'Robust|Chaos|Malformed|Parallel|ScanMerge|PlanShards|ScannerInflight|Name|Wire|Rdata|DecodeRdata|Presentation|TypeBitmap|Message|CodecGolden|Stream|Framing|Truncation|EventScheduler|RetryPolicy|CoalesceKey|AsyncCore|Zone|SignedZone|ScanWorldFixture|Counters|ResolverLimits|ResolverTransport|Cache|PopularitySketch|FrontEnd'
 
 echo "=== [5/13] TSan build: parallel-scan + async-core suites ==="
 cmake -B build-tsan -S . -DEDE_TSAN=ON >/dev/null
