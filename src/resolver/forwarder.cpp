@@ -49,14 +49,11 @@ dns::Message Forwarder::handle(const dns::Message& query) {
     response.header.ad = hit->security == dnssec::Security::Secure;
     return response;
   }
-  if (const auto* fail = cache_.get_servfail(q.qname, q.qtype, now)) {
+  if (cache_.get_servfail(q.qname, q.qtype, now) != nullptr) {
     response.header.rcode = dns::RCode::SERVFAIL;
     edns::add_extended_error(
         response, {edns::EdeCode::CachedError,
                    "SERVFAIL served from the forwarder cache"});
-    for (const auto& finding : fail->findings) {
-      (void)finding;  // upstream codes were stored as findings-free entries
-    }
     return response;
   }
 

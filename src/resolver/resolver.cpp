@@ -96,6 +96,21 @@ std::vector<dns::DnskeyRdata> collect_keys(const dns::RRset* rrset) {
   return out;
 }
 
+/// The acceptance gate's transaction check, on both transports: a reply
+/// (QR set) carrying our query's ID.
+bool answers_transaction(const dns::Message& reply, std::uint16_t id) {
+  return reply.header.qr && reply.header.id == id;
+}
+
+/// The acceptance gate's question check, on both transports: the reply
+/// echoes exactly the one question we asked.
+bool echoes_question(const dns::Message& reply, const dns::Name& qname,
+                     dns::RRType qtype) {
+  return reply.question.size() == 1 &&
+         reply.question.front().qname == qname &&
+         reply.question.front().qtype == qtype;
+}
+
 /// Negative-caching TTL from the SOA minimum (RFC 2308).
 std::uint32_t negative_ttl(const dns::Message& response) {
   for (const auto& rr : response.authority) {
@@ -158,9 +173,39 @@ std::uint64_t RecursiveResolver::fingerprint_servers(
   return hash;
 }
 
+dns::Message RecursiveResolver::make_upstream_query(const dns::Name& qname,
+                                                   dns::RRType qtype,
+                                                   bool use_edns) {
+  dns::Message query = dns::make_query(next_id_++, qname, qtype,
+                                       /*recursion_desired=*/false);
+  if (use_edns) {
+    edns::Edns edns;
+    edns.dnssec_ok = true;
+    edns.udp_payload_size = options_.edns_udp_payload;
+    edns::set_edns(query, edns);
+  }
+  return query;
+}
+
+bool RecursiveResolver::plain_dns_only(const ResolutionContext& ctx,
+                                       const sim::NodeAddress& server) const {
+  // A verdict this resolution earned itself (ctx.edns_self_plain) is
+  // always visible; the InfraCache shows what earlier batches learned.
+  return ctx.edns_self_plain.contains(server) ||
+         infra_.edns_capability(server, network_->clock().now_ms(), ctx.id) ==
+             InfraCache::EdnsCapability::PlainOnly;
+}
+
+void RecursiveResolver::note_plain_dns(ResolutionContext& ctx,
+                                       const sim::NodeAddress& server) {
+  ctx.edns_self_plain.insert(server);
+  infra_.report_edns_broken(server, network_->clock().now_ms(),
+                            profile_.edns_dance.capability_ttl_ms, ctx.id);
+}
+
 sim::Task<RecursiveResolver::QueryResult> RecursiveResolver::query_servers(
     ResolutionContext& ctx, dns::Name zone,
-    const std::vector<sim::NodeAddress>& servers, dns::Name qname,
+    std::vector<sim::NodeAddress> servers, dns::Name qname,
     dns::RRType qtype) {
   // In-flight coalescing: within one top-level resolution, replay a probe
   // that already failed instead of burning another round of retransmits
@@ -172,8 +217,7 @@ sim::Task<RecursiveResolver::QueryResult> RecursiveResolver::query_servers(
   // recorded against yesterday's NS list must not answer for a probe that
   // would have tried servers the original never reached. The key (two
   // name copies) is built only to probe a non-empty memo or to record a
-  // failure; the fingerprint is taken before the suspension, while the
-  // caller's server list is certainly alive.
+  // failure.
   const bool coalesce = options_.coalesce_queries;
   const std::uint64_t fingerprint = coalesce ? fingerprint_servers(servers) : 0;
   if (coalesce && !ctx.coalesced.empty()) {
@@ -186,21 +230,7 @@ sim::Task<RecursiveResolver::QueryResult> RecursiveResolver::query_servers(
       co_return replay;
     }
   }
-  QueryResult result =
-      co_await query_servers_uncoalesced(ctx, zone, servers, qname, qtype);
-  if (coalesce && !result.response.has_value()) {
-    ctx.coalesced.emplace(
-        CoalesceKey{std::move(zone), std::move(qname), qtype, fingerprint},
-        result);
-  }
-  co_return result;
-}
 
-sim::Task<RecursiveResolver::QueryResult>
-RecursiveResolver::query_servers_uncoalesced(
-    ResolutionContext& ctx, dns::Name zone,
-    std::vector<sim::NodeAddress> servers, dns::Name qname,
-    dns::RRType qtype) {
   QueryResult result;
   const std::string query_desc =
       qname.to_string() + " " + dns::to_string(qtype);
@@ -210,6 +240,7 @@ RecursiveResolver::query_servers_uncoalesced(
   // ServerTimeout findings the diagnosis (and the paper's Table 4)
   // depends on.
   std::optional<dns::Message> first_response;
+  bool out_of_budget = false;
   for (const auto& server : servers) {
     if (infra_.held_down(server, network_->clock().now_ms())) {
       infra_.note_skip();
@@ -235,20 +266,14 @@ RecursiveResolver::query_servers_uncoalesced(
     // Queries carry OPT until this server proves it cannot cope: an
     // explicit rejection (FORMERR/BADVERS), a garbled or duplicated OPT,
     // or the vendor's quota of silent timeouts flips the one-way
-    // `edns_downgraded` latch and the remaining attempts go out as plain
-    // DNS. The InfraCache remembers the verdict so later resolutions skip
-    // the dance until the vendor's re-probe TTL expires.
+    // `use_edns` latch and the remaining attempts go out as plain DNS.
+    // The InfraCache remembers the verdict so later resolutions skip the
+    // dance until the vendor's re-probe TTL expires.
     bool use_edns = true;
-    bool edns_downgraded = false;
     bool plain_probe_counted = false;
     int edns_timeouts = 0;
-    // A verdict this resolution earned itself (ctx.edns_self_plain) is
-    // always visible; the InfraCache shows what earlier batches learned.
-    if (ctx.edns_self_plain.contains(server) ||
-        infra_.edns_capability(server, network_->clock().now_ms(), ctx.id) ==
-            InfraCache::EdnsCapability::PlainOnly) {
+    if (plain_dns_only(ctx, server)) {
       use_edns = false;
-      edns_downgraded = true;
       plain_probe_counted = true;  // a memory hit is a skip, not a probe
       ++hardening_.edns_capability_skips;
     }
@@ -264,23 +289,18 @@ RecursiveResolver::query_servers_uncoalesced(
         // Watchdog: the per-resolution budget is exhausted, so stop
         // probing entirely and let the caller degrade into a clean
         // serve-stale / SERVFAIL (+ EDE 22/23) on what we have. The trace
-        // and findings collected so far are preserved by the caller.
+        // and findings collected so far are preserved by the caller, and
+        // the cut-short probe is memoized like any other failure.
         ++hardening_.watchdog_trips;
-        result.response = std::move(first_response);
-        co_return result;
+        out_of_budget = true;
+        break;
       }
-      dns::Message query = dns::make_query(next_id_++, qname, qtype,
-                                           /*recursion_desired=*/false);
+      const dns::Message query = make_upstream_query(qname, qtype, use_edns);
       // A plain-DNS query implies the pre-EDNS 512-byte ceiling (RFC 1035
       // §4.2.1) — both on the wire and for the oversize acceptance gate.
       const std::uint16_t payload_size =
           use_edns ? options_.edns_udp_payload : std::uint16_t{512};
-      if (use_edns) {
-        edns::Edns edns;
-        edns.dnssec_ok = true;
-        edns.udp_payload_size = payload_size;
-        edns::set_edns(query, edns);
-      } else if (edns_downgraded && !plain_probe_counted) {
+      if (!use_edns && !plain_probe_counted) {
         ++hardening_.edns_fallback_probes;
         plain_probe_counted = true;
       }
@@ -312,7 +332,7 @@ RecursiveResolver::query_servers_uncoalesced(
                               network_->clock().now_ms());
         add_finding(result.findings, Stage::Transport, Defect::ServerTimeout,
                     server.to_string() + ":53 timed out for " + query_desc);
-        if (use_edns && !edns_downgraded &&
+        if (use_edns &&
             ++edns_timeouts >= profile_.edns_dance.timeouts_before_downgrade) {
           // Unbound-style timeout-driven downgrade: repeated silence to
           // OPT queries smells like an EDNS-eating middlebox, so the
@@ -322,11 +342,7 @@ RecursiveResolver::query_servers_uncoalesced(
           // equals its attempt budget learns the verdict for *later*
           // resolutions instead of probing plain in this one.
           use_edns = false;
-          edns_downgraded = true;
-          ctx.edns_self_plain.insert(server);
-          infra_.report_edns_broken(server, network_->clock().now_ms(),
-                                    profile_.edns_dance.capability_ttl_ms,
-                                    ctx.id);
+          note_plain_dns(ctx, server);
         }
         timeout_ms = retry_.next_timeout(timeout_ms);
         ++attempt;
@@ -374,8 +390,7 @@ RecursiveResolver::query_servers_uncoalesced(
         ++attempt;
         continue;
       }
-      if (!parsed.value().header.qr ||
-          parsed.value().header.id != query.header.id) {
+      if (!answers_transaction(parsed.value(), query.header.id)) {
         // Not a response to our transaction (spoofed/corrupted ID or a
         // reflected query): discard and retry, like a dropped reply.
         ++hardening_.rejected_qid_mismatch;
@@ -393,7 +408,7 @@ RecursiveResolver::query_servers_uncoalesced(
       // probe half of probe-and-fallback, bounded to one by the latch),
       // and the verdict is remembered per address so later resolutions
       // skip the dance until the re-probe TTL expires.
-      if (use_edns && !edns_downgraded) {
+      if (use_edns) {
         std::string why;
         auto defect = Defect::EdnsFormerr;
         if (parsed.value().header.rcode == dns::RCode::FORMERR) {
@@ -418,11 +433,7 @@ RecursiveResolver::query_servers_uncoalesced(
           add_finding(result.findings, Stage::Transport, defect,
                       server.to_string() + why + query_desc);
           use_edns = false;
-          edns_downgraded = true;
-          ctx.edns_self_plain.insert(server);
-          infra_.report_edns_broken(server, network_->clock().now_ms(),
-                                    profile_.edns_dance.capability_ttl_ms,
-                                    ctx.id);
+          note_plain_dns(ctx, server);
           continue;
         }
       }
@@ -443,9 +454,7 @@ RecursiveResolver::query_servers_uncoalesced(
         }
         break;  // stream path dead: move on to the next server
       }
-      if (parsed.value().question.size() != 1 ||
-          !(parsed.value().question.front().qname == qname) ||
-          parsed.value().question.front().qtype != qtype) {
+      if (!echoes_question(parsed.value(), qname, qtype)) {
         // Right transaction ID, wrong question: either a lucky off-path
         // forgery or a server echoing garbage. Refuse it and retry — the
         // finding survives so the diagnosis still shows the mismatch.
@@ -461,6 +470,7 @@ RecursiveResolver::query_servers_uncoalesced(
       }
       received = std::move(parsed).take();
     }
+    if (out_of_budget) break;
     if (!received.has_value()) continue;
     dns::Message response = std::move(*received);
 
@@ -512,9 +522,7 @@ RecursiveResolver::query_servers_uncoalesced(
     if (use_edns && response.find_opt() == nullptr) {
       add_finding(result.findings, Stage::Transport, Defect::NoOptInResponse,
                   server.to_string() + ":53 ignored EDNS for " + query_desc);
-      ctx.edns_self_plain.insert(server);
-      infra_.report_edns_broken(server, network_->clock().now_ms(),
-                                profile_.edns_dance.capability_ttl_ms, ctx.id);
+      note_plain_dns(ctx, server);
     } else if (use_edns) {
       infra_.report_edns_ok(server, ctx.id);
     } else {
@@ -529,9 +537,7 @@ RecursiveResolver::query_servers_uncoalesced(
                   server.to_string() + ":53 answered plain DNS for " +
                       query_desc);
       ++hardening_.edns_degraded_success;
-      ctx.edns_self_plain.insert(server);
-      infra_.report_edns_broken(server, network_->clock().now_ms(),
-                                profile_.edns_dance.capability_ttl_ms, ctx.id);
+      note_plain_dns(ctx, server);
     }
 
     // Remember an advertised RFC 9567 reporting agent.
@@ -546,6 +552,11 @@ RecursiveResolver::query_servers_uncoalesced(
     if (!first_response) first_response = std::move(response);
   }
   result.response = std::move(first_response);
+  if (coalesce && !result.response.has_value()) {
+    ctx.coalesced.emplace(
+        CoalesceKey{std::move(zone), std::move(qname), qtype, fingerprint},
+        result);
+  }
   co_return result;
 }
 
@@ -555,7 +566,7 @@ sim::Task<std::optional<dns::Message>> RecursiveResolver::query_over_stream(
   ++hardening_.tcp_fallbacks;
   const std::string query_desc =
       qname.to_string() + " " + dns::to_string(qtype);
-  auto& stream = network_->stream();
+  using Status = sim::StreamTransport::Status;
 
   for (int attempt = 0; attempt < retry_.tcp_attempts; ++attempt) {
     if (ctx.budget.attempts_left <= 0 ||
@@ -566,35 +577,29 @@ sim::Task<std::optional<dns::Message>> RecursiveResolver::query_over_stream(
 
     // A fresh connection and a fresh transaction per attempt: reusing the
     // UDP QID across transports would hand an on-path observer of the
-    // datagram leg a free forgery key for the stream leg.
-    dns::Message query = dns::make_query(next_id_++, qname, qtype,
-                                         /*recursion_desired=*/false);
-    // The per-server EDNS verdict is transport-independent: a server (or
-    // middlebox) that chokes on OPT over UDP chokes on it over the stream
-    // too, so a plain-DNS downgrade carries into the DoTCP fallback the
-    // way BIND's ADB "noedns" flag does. A signed zone behind such a
-    // server is unvalidatable by design — no DO bit, no RRSIGs.
-    if (!ctx.edns_self_plain.contains(server) &&
-        infra_.edns_capability(server, network_->clock().now_ms(), ctx.id) !=
-            InfraCache::EdnsCapability::PlainOnly) {
-      edns::Edns edns;
-      edns.dnssec_ok = true;
-      edns.udp_payload_size = options_.edns_udp_payload;
-      edns::set_edns(query, edns);
-    }
+    // datagram leg a free forgery key for the stream leg. The per-server
+    // EDNS verdict is transport-independent: a server (or middlebox) that
+    // chokes on OPT over UDP chokes on it over the stream too, so a
+    // plain-DNS downgrade carries into the DoTCP fallback the way BIND's
+    // ADB "noedns" flag does. A signed zone behind such a server is
+    // unvalidatable by design — no DO bit, no RRSIGs.
+    const dns::Message query =
+        make_upstream_query(qname, qtype, !plain_dns_only(ctx, server));
 
     ++result.queries;
     --ctx.budget.attempts_left;
 
-    // The stream transport still charges its own handshake/IO round trips
-    // to the clock inline (one interleave point per exchange, not per
-    // segment — DESIGN.md §6 documents the coarser granularity); only the
-    // timers waited out on a dead path park the coroutine.
-    const auto conn = stream.connect(profile_.source, server);
-    if (conn.status != sim::StreamTransport::ConnectStatus::Established) {
+    // One call is the whole connection: the stream transport charges its
+    // handshake and exchange round trips to the clock inline (one
+    // interleave point per attempt — DESIGN.md §6 documents the coarser
+    // granularity); only the timers waited out on a dead path park the
+    // coroutine.
+    const auto reply = network_->stream().exchange(profile_.source, server,
+                                                   arena_.serialize(query));
+    const bool refused = reply.status == Status::Refused;
+    if (refused || reply.status == Status::SynTimeout ||
+        reply.status == Status::Unreachable) {
       ++hardening_.tcp_connect_failures;
-      const bool refused =
-          conn.status == sim::StreamTransport::ConnectStatus::Refused;
       // An RST arrives promptly; a swallowed SYN burns the whole
       // handshake timer first.
       if (!refused) co_await park(ctx, retry_.tcp_connect_timeout_ms);
@@ -610,9 +615,6 @@ sim::Task<std::optional<dns::Message>> RecursiveResolver::query_over_stream(
       continue;
     }
 
-    const auto io = stream.exchange(conn.conn_id, arena_.serialize(query));
-    stream.close(conn.conn_id);
-
     const auto stream_failed = [&](const std::string& what) {
       ++hardening_.tcp_stream_failures;
       infra_.report_failure(server, InfraCache::FailureKind::Timeout,
@@ -622,7 +624,7 @@ sim::Task<std::optional<dns::Message>> RecursiveResolver::query_over_stream(
                       query_desc);
     };
 
-    if (io.status == sim::StreamTransport::IoStatus::Timeout) {
+    if (reply.status == Status::Stalled) {
       // Accept-then-stall: the read timer runs out with zero bytes.
       co_await park(ctx, retry_.tcp_read_timeout_ms);
       stream_failed("stalled after accepting the query");
@@ -630,12 +632,12 @@ sim::Task<std::optional<dns::Message>> RecursiveResolver::query_over_stream(
     }
 
     sim::FrameAssembler assembler;
-    assembler.feed(io.bytes);
+    assembler.feed(reply.bytes);
     auto popped = assembler.pop();
     if (popped.status != sim::FrameAssembler::Status::Frame) {
       if (popped.status == sim::FrameAssembler::Status::BadFrame) {
         stream_failed("sent a malformed frame");
-      } else if (io.status == sim::StreamTransport::IoStatus::Closed) {
+      } else if (reply.status == Status::Closed) {
         stream_failed("closed the stream mid-answer");
       } else {
         // An over-declared length prefix: the frame never completes, so
@@ -651,8 +653,7 @@ sim::Task<std::optional<dns::Message>> RecursiveResolver::query_over_stream(
       stream_failed("sent an unparsable response");
       continue;
     }
-    if (!parsed.value().header.qr ||
-        parsed.value().header.id != query.header.id) {
+    if (!answers_transaction(parsed.value(), query.header.id)) {
       ++hardening_.rejected_qid_mismatch;
       stream_failed("answered a different transaction");
       continue;
@@ -663,9 +664,7 @@ sim::Task<std::optional<dns::Message>> RecursiveResolver::query_over_stream(
       stream_failed("set TC over the stream");
       continue;
     }
-    if (parsed.value().question.size() != 1 ||
-        !(parsed.value().question.front().qname == qname) ||
-        parsed.value().question.front().qtype != qtype) {
+    if (!echoes_question(parsed.value(), qname, qtype)) {
       ++hardening_.rejected_question_mismatch;
       add_finding(result.findings, Stage::Transport,
                   Defect::MismatchedQuestion,
@@ -674,7 +673,7 @@ sim::Task<std::optional<dns::Message>> RecursiveResolver::query_over_stream(
       continue;
     }
 
-    infra_.report_success(server, conn.rtt_ms + io.rtt_ms);
+    infra_.report_success(server, reply.rtt_ms);
     ++hardening_.tcp_success;
     co_return std::move(parsed).take();
   }
@@ -903,6 +902,27 @@ EngineReport RecursiveResolver::resolve_many(
   return report;
 }
 
+bool RecursiveResolver::answer_stale(Outcome& outcome, const dns::Name& qname,
+                                     dns::RRType qtype, sim::SimTime now) {
+  if (!options_.serve_stale) return false;
+  if (const auto* stale = cache_.get_stale_positive(qname, qtype, now)) {
+    add_finding(outcome.findings, Stage::Cache, Defect::StaleAnswerServed,
+                "answer served from cache past TTL expiry");
+    for (auto& rr : stale->rrset.to_records())
+      outcome.response.answer.push_back(std::move(rr));
+    outcome.rcode = dns::RCode::NOERROR;
+    outcome.security = stale->security;
+    return true;
+  }
+  const auto* stale = cache_.get_stale_negative(qname, qtype, now);
+  if (stale == nullptr || !stale->nxdomain) return false;
+  add_finding(outcome.findings, Stage::Cache, Defect::StaleNxdomainServed,
+              "NXDOMAIN served from cache past TTL expiry");
+  outcome.rcode = dns::RCode::NXDOMAIN;
+  outcome.security = stale->security;
+  return true;
+}
+
 sim::Task<Outcome> RecursiveResolver::resolve_internal(ResolutionContext& ctx,
                                                        dns::Name qname,
                                                        dns::RRType qtype,
@@ -943,25 +963,9 @@ sim::Task<Outcome> RecursiveResolver::resolve_internal(ResolutionContext& ctx,
     // the cached failure (RFC 8767 §5 — stale data is preferable to an
     // error), so the client sees EDE 3/19 with the original outage
     // diagnosis attached rather than EDE 13.
-    if (options_.serve_stale) {
-      if (const auto* stale = cache_.get_stale_positive(qname, qtype, now)) {
-        for (const auto& f : sf->findings) outcome.findings.push_back(f);
-        add_finding(outcome.findings, Stage::Cache, Defect::StaleAnswerServed,
-                    "answer served from cache past TTL expiry");
-        for (auto& rr : stale->rrset.to_records())
-          outcome.response.answer.push_back(std::move(rr));
-        co_return finish(dns::RCode::NOERROR, stale->security);
-      }
-      if (const auto* stale = cache_.get_stale_negative(qname, qtype, now);
-          stale != nullptr && stale->nxdomain) {
-        for (const auto& f : sf->findings) outcome.findings.push_back(f);
-        add_finding(outcome.findings, Stage::Cache,
-                    Defect::StaleNxdomainServed,
-                    "NXDOMAIN served from cache past TTL expiry");
-        co_return finish(dns::RCode::NXDOMAIN, stale->security);
-      }
-    }
-    for (const auto& f : sf->findings) outcome.findings.push_back(f);
+    outcome.findings = sf->findings;
+    if (answer_stale(outcome, qname, qtype, now))
+      co_return finish(outcome.rcode, outcome.security);
     add_finding(outcome.findings, Stage::Cache, Defect::CachedServfail,
                 "SERVFAIL served from cache for " + qname.to_string());
     co_return finish(dns::RCode::SERVFAIL, Security::Indeterminate);
@@ -1041,23 +1045,8 @@ sim::Task<Outcome> RecursiveResolver::resolve_internal(ResolutionContext& ctx,
                 Defect::AllServersUnreachable,
                 "no authoritative server produced an answer for " +
                     qname.to_string());
-    if (options_.serve_stale) {
-      if (const auto* stale = cache_.get_stale_positive(qname, qtype, now)) {
-        add_finding(outcome.findings, Stage::Cache, Defect::StaleAnswerServed,
-                    "answer served from cache past TTL expiry");
-        for (auto& rr : stale->rrset.to_records())
-          outcome.response.answer.push_back(std::move(rr));
-        return finish(dns::RCode::NOERROR, stale->security);
-      }
-      if (const auto* stale = cache_.get_stale_negative(qname, qtype, now)) {
-        if (stale->nxdomain) {
-          add_finding(outcome.findings, Stage::Cache,
-                      Defect::StaleNxdomainServed,
-                      "NXDOMAIN served from cache past TTL expiry");
-          return finish(dns::RCode::NXDOMAIN, stale->security);
-        }
-      }
-    }
+    if (answer_stale(outcome, qname, qtype, now))
+      return finish(outcome.rcode, outcome.security);
     cache_.put_servfail(qname, qtype, {outcome.findings, now + kServfailTtl},
                         now);
     return finish(dns::RCode::SERVFAIL, Security::Indeterminate);
@@ -1078,47 +1067,52 @@ sim::Task<Outcome> RecursiveResolver::resolve_internal(ResolutionContext& ctx,
     co_return fail_bogus();
   }
 
-  dns::Name current_zone;  // "."
-  std::vector<sim::NodeAddress> servers = root_servers_;
-  std::vector<dns::DnskeyRdata> zone_keys = *root_keys_;
+  dns::Name current_zone;
+  std::vector<sim::NodeAddress> servers;
+  std::vector<dns::DnskeyRdata> zone_keys;
   bool secure = root_secure;
+  // QNAME minimization state: how many labels of `target` the next query
+  // may reveal (RFC 9156: one more than the zone we are asking).
+  std::size_t min_labels = 1;
 
-  // Seed the descent from the deepest cached zone context (infrastructure
-  // caching): the healthy upper levels are only walked once per TTL.
+  // Start a descent towards `name` from the deepest cached zone context
+  // (infrastructure caching: the healthy upper levels are only walked once
+  // per TTL), or from the root.
   const auto seed_context = [&](const dns::Name& name) {
-    if (!cache_.options().enabled) return;
+    const ZoneContext* cached = nullptr;
     dns::Name probe = name;
-    while (true) {
+    while (cache_.options().enabled) {
       const auto it = zone_cache_.find(probe);
       if (it != zone_cache_.end() && it->second.expires >= now) {
-        current_zone = probe;
-        servers = it->second.servers;
-        zone_keys = it->second.keys;
-        secure = it->second.secure;
-        return;
+        cached = &it->second;
+        break;
       }
-      if (probe.is_root()) return;
+      if (probe.is_root()) break;
       probe = probe.parent();
     }
+    if (cached != nullptr) {
+      current_zone = std::move(probe);
+      servers = cached->servers;
+      zone_keys = cached->keys;
+      secure = cached->secure;
+    } else {
+      current_zone = dns::Name{};
+      servers = root_servers_;
+      zone_keys = *root_keys_;
+      secure = root_secure;
+    }
+    min_labels = current_zone.label_count() + 1;
   };
 
   dns::Name target = qname;
   seed_context(target);
   int cname_hops = 0;
-  // QNAME minimization state: how many labels of `target` the next query
-  // may reveal (RFC 9156: one more than the zone we are asking).
-  std::size_t min_labels = current_zone.label_count() + 1;
-
-  const auto minimized_suffix = [](const dns::Name& name,
-                                   std::size_t labels) {
-    return name.suffix(labels);
-  };
 
   for (int hop = 0; hop < kMaxReferrals; ++hop) {
     dns::Name query_name = target;
     dns::RRType query_type = qtype;
     if (options_.qname_minimization) {
-      query_name = minimized_suffix(target, min_labels);
+      query_name = target.suffix(min_labels);
       if (!(query_name == target)) query_type = dns::RRType::NS;
     }
 
@@ -1350,35 +1344,20 @@ sim::Task<Outcome> RecursiveResolver::resolve_internal(ResolutionContext& ctx,
 
     if (rrset == nullptr && cname != nullptr && qtype != dns::RRType::CNAME) {
       step.note = "CNAME";
-      if (++cname_hops > kMaxCnameChain) {
-        add_finding(outcome.findings, Stage::Transport,
-                    Defect::IterationLimitExceeded,
-                    "iteration limit exceeded");
-        cache_.put_servfail(qname, qtype,
-                            {outcome.findings, now + kServfailTtl}, now);
-        co_return finish(dns::RCode::SERVFAIL, Security::Indeterminate);
-      }
-      Security security = Security::Insecure;
+      if (++cname_hops > kMaxCnameChain) break;  // the iteration-limit exit
       if (secure) {
         const auto check = dnssec::validate_answer_rrset(
             *cname, answer_sigs, current_zone, zone_keys, now,
             profile_.validator);
         for (const auto& f : check.findings) outcome.findings.push_back(f);
         if (check.security == Security::Bogus) co_return fail_bogus();
-        security = check.security;
       }
-      (void)security;
       for (auto& rr : cname->to_records())
         outcome.response.answer.push_back(std::move(rr));
       // Restart from the root (or the deepest cached context) for the
       // canonical name.
       target = std::get<dns::CnameRdata>(cname->rdatas.front()).target;
-      current_zone = dns::Name{};
-      servers = root_servers_;
-      zone_keys = *root_keys_;
-      secure = root_secure;
       seed_context(target);
-      min_labels = current_zone.label_count() + 1;
       continue;
     }
 

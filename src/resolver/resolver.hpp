@@ -362,19 +362,34 @@ class RecursiveResolver {
       sim::EventScheduler& sched, ResolveJob job, ResolutionId id,
       std::function<void(sim::SimTimeMs, Outcome&&)> record);
 
-  /// Probe `servers` (authoritative for `zone`) for qname/qtype. `zone` is
-  /// the bailiwick the scrubber enforces on whatever comes back, and part
-  /// of the coalescing key. Name parameters, and the server list the probe
-  /// loop walks across suspensions, ride by value: a coroutine frame must
-  /// not hold references into a caller temporary.
+  /// Probe `servers` (authoritative for `zone`) for qname/qtype, replaying
+  /// a failure this resolution already memoized for the same key. `zone`
+  /// is the bailiwick the scrubber enforces on whatever comes back, and
+  /// part of the coalescing key. Name parameters, and the server list the
+  /// probe loop walks across suspensions, ride by value: a coroutine frame
+  /// must not hold references into a caller temporary.
   [[nodiscard]] sim::Task<QueryResult> query_servers(
-      ResolutionContext& ctx, dns::Name zone,
-      const std::vector<sim::NodeAddress>& servers, dns::Name qname,
-      dns::RRType qtype);
-  [[nodiscard]] sim::Task<QueryResult> query_servers_uncoalesced(
       ResolutionContext& ctx, dns::Name zone,
       std::vector<sim::NodeAddress> servers, dns::Name qname,
       dns::RRType qtype);
+
+  /// One upstream query with a fresh transaction ID, carrying OPT (DO bit,
+  /// the advertised payload size) when `use_edns`; both transports use it.
+  [[nodiscard]] dns::Message make_upstream_query(const dns::Name& qname,
+                                                 dns::RRType qtype,
+                                                 bool use_edns);
+  /// The per-server EDNS verdict both transports read: plain DNS only,
+  /// learned by this resolution or by an earlier batch. note_plain_dns()
+  /// records one in both places.
+  [[nodiscard]] bool plain_dns_only(const ResolutionContext& ctx,
+                                    const sim::NodeAddress& server) const;
+  void note_plain_dns(ResolutionContext& ctx, const sim::NodeAddress& server);
+
+  /// RFC 8767 serve-stale: put an expired answer, or failing that an
+  /// expired NXDOMAIN, with its finding into `outcome` and set its rcode
+  /// and security. False when serve-stale is off or nothing is stale.
+  [[nodiscard]] bool answer_stale(Outcome& outcome, const dns::Name& qname,
+                                  dns::RRType qtype, sim::SimTime now);
 
   [[nodiscard]] sim::Task<Outcome> resolve_internal(ResolutionContext& ctx,
                                                     dns::Name qname,

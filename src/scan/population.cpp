@@ -261,18 +261,13 @@ Population generate_population(const PopulationConfig& config) {
   // Quota floors and the concentrated-category growth can overshoot at
   // small scales; trim healthy domains (never misconfigured ones — the
   // category counts are the calibrated quantity) until the size is exact.
+  // Healthy domains were all placed after the misconfigured ones, so they
+  // are the tail, and every domain keeps the index its name carries.
   auto& domains = population.domains;
-  while (domains.size() > config.total_domains) {
-    if (domains.back().category == Category::Healthy) {
-      tlds[domains.back().tld].planned_size -= 1;
-      domains.pop_back();
-      continue;
-    }
-    const auto it = std::find_if(
-        domains.rbegin(), domains.rend(),
-        [](const DomainSpec& d) { return d.category == Category::Healthy; });
-    if (it == domains.rend()) break;  // nothing trimmable left
-    std::swap(*it, domains.back());
+  while (domains.size() > config.total_domains &&
+         domains.back().category == Category::Healthy) {
+    tlds[domains.back().tld].planned_size -= 1;
+    domains.pop_back();
   }
 
   // Provider assignment: skewed so a handful of "mega-lame" providers host

@@ -1,6 +1,8 @@
 #include "scan/world.hpp"
 
 #include <algorithm>
+#include <cctype>
+#include <charconv>
 #include <set>
 
 #include "crypto/encoding.hpp"
@@ -318,14 +320,11 @@ class ProviderServer {
     const dns::Message& query = arena_.message();
     if (query.question.empty()) return std::nullopt;
 
-    // Find the registered domain owning qname (longest suffix in the index).
-    const DomainSpec* domain = nullptr;
-    dns::Name probe = query.question.front().qname;
-    while (!probe.is_root()) {
-      domain = world_->lookup(probe);
-      if (domain != nullptr) break;
-      probe = probe.parent();
-    }
+    // Every registered domain sits one label below its TLD, so the only
+    // name that can own qname is its two-label suffix.
+    const auto& qname = query.question.front().qname;
+    const DomainSpec* domain =
+        qname.label_count() < 2 ? nullptr : world_->lookup(qname.suffix(2));
     if (domain == nullptr) {
       dns::Message refused;
       refused.header.id = query.header.id;
@@ -387,8 +386,30 @@ ScanWorld::ScanWorld(std::shared_ptr<sim::Network> network,
 }
 
 const DomainSpec* ScanWorld::lookup(const dns::Name& name) const {
-  const auto it = index_.find(name);
-  return it == index_.end() ? nullptr : it->second;
+  // Domain i is named "d<i>.<tld>" (generate_population), so the name is
+  // the index: read i from the first label, then accept only domain i's
+  // exact spelling, case-insensitively — no leading zero, and its own TLD.
+  if (name.label_count() != 2) return nullptr;
+  const std::string_view first = name.label(0);
+  if ((first[0] != 'd' && first[0] != 'D') || first.size() < 2 ||
+      (first[1] == '0' && first.size() > 2)) {
+    return nullptr;
+  }
+  std::size_t index = 0;
+  const char* end = first.data() + first.size();
+  const auto [ptr, ec] = std::from_chars(first.data() + 1, end, index);
+  if (ec != std::errc{} || ptr != end) return nullptr;
+  if (index >= population_->domains.size()) return nullptr;
+  const DomainSpec& domain = population_->domains[index];
+  const std::string_view tld = name.label(1);
+  const std::string& own = population_->tlds[domain.tld].name;
+  const auto same = [](char a, char b) {
+    return std::tolower(static_cast<unsigned char>(a)) ==
+           std::tolower(static_cast<unsigned char>(b));
+  };
+  return std::equal(tld.begin(), tld.end(), own.begin(), own.end(), same)
+             ? &domain
+             : nullptr;
 }
 
 std::size_t ScanWorld::child_zone_builds() const {
@@ -406,11 +427,6 @@ sim::NodeAddress ScanWorld::provider_address(ServingPlan::Pool pool,
 std::size_t ScanWorld::dead_provider_count() const { return dead_providers_; }
 
 void ScanWorld::build() {
-  // Index the population.
-  for (const auto& domain : population_->domains) {
-    index_.emplace(dns::Name::of(domain.fqdn), &domain);
-  }
-
   // One registration point for every authority address: UDP always, plus
   // a DoTCP stream listener when the world is configured with them
   // (serving worlds; the wild scan stays UDP-only). The factory is called

@@ -10,7 +10,6 @@
 #pragma once
 
 #include <memory>
-#include <unordered_map>
 
 #include "dnscore/name.hpp"
 #include "resolver/resolver.hpp"
@@ -95,7 +94,8 @@ class ScanWorld {
   [[nodiscard]] std::shared_ptr<zone::Zone> build_child_zone(
       const DomainSpec& domain) const;
 
-  /// The spec registered for exactly this name, if any.
+  /// The spec registered for exactly this name, if any. Read from the
+  /// name itself: no per-domain index is kept.
   [[nodiscard]] const DomainSpec* lookup(const dns::Name& name) const;
 
   /// Child zones the healthy provider has built so far; it keeps the 16
@@ -111,8 +111,6 @@ class ScanWorld {
   std::vector<sim::NodeAddress> root_servers_;
   dns::DnskeyRdata trust_anchor_;
 
-  // registered fqdn -> spec
-  std::unordered_map<dns::Name, const DomainSpec*, dns::NameHash> index_;
   std::shared_ptr<ProviderServer> healthy_provider_;
   std::vector<std::shared_ptr<void>> keep_alive_;  // servers & zones
   std::vector<sim::NodeAddress> tld_addresses_;

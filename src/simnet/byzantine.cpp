@@ -330,6 +330,37 @@ Applied mutate_edns_duplicate_opt(const crypto::Bytes& response) {
   return rewritten(m.serialize());
 }
 
+/// The TC-then-different-answer bait-and-switch: a plausible, in-bailiwick,
+/// *unsigned* answer to the question actually asked (TXT for a TXT query,
+/// A otherwise), plus a poison-marker additional record. The unsigned
+/// answer is the calibration point — a validating resolver must reject it
+/// (RRSIGs missing), and the poison record must never survive the
+/// scrubber; both are chaos-campaign invariants.
+Applied mutate_different_answer(crypto::BytesView query) {
+  auto parsed_query = dns::Message::parse(query);
+  if (!parsed_query || parsed_query.value().question.empty()) {
+    return not_applicable();
+  }
+  const dns::Message& q = parsed_query.value();
+  const auto& question = q.question.front();
+  dns::Message forged;
+  forged.header.id = q.header.id;
+  forged.header.qr = true;
+  forged.header.aa = true;
+  forged.question = q.question;
+  if (question.qtype == dns::RRType::TXT) {
+    dns::TxtRdata txt;
+    txt.strings.push_back("forged-over-tcp");
+    forged.answer.push_back({question.qname, dns::RRType::TXT,
+                             dns::RRClass::IN, 86'400, txt});
+  } else {
+    forged.answer.push_back({question.qname, dns::RRType::A, dns::RRClass::IN,
+                             86'400, dns::ARdata{kPoisonAddress}});
+  }
+  forged.additional.push_back(poison_a_record());
+  return rewritten(forged.serialize());
+}
+
 Applied apply(const ByzantineBehavior& behavior, crypto::BytesView query,
               const crypto::Bytes& response, crypto::Xoshiro256& rng,
               MutateContext& ctx) {
@@ -368,6 +399,8 @@ Applied apply(const ByzantineBehavior& behavior, crypto::BytesView query,
       return mutate_edns_garble(response, rng);
     case ByzantineKind::EdnsDuplicateOpt:
       return mutate_edns_duplicate_opt(response);
+    case ByzantineKind::DifferentAnswer:
+      return mutate_different_answer(query);
     case ByzantineKind::None:
       break;
   }
@@ -396,6 +429,7 @@ const char* to_string(ByzantineKind kind) {
     case ByzantineKind::EdnsBufferLie: return "edns_buffer_lie";
     case ByzantineKind::EdnsGarble: return "edns_garble";
     case ByzantineKind::EdnsDuplicateOpt: return "edns_duplicate_opt";
+    case ByzantineKind::DifferentAnswer: return "different_answer";
   }
   return "unknown";
 }

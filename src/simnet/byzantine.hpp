@@ -7,7 +7,9 @@
 // paper's dominant wild-scan EDE codes (22 NoReachableAuthority / 23
 // NetworkError, §4.2) actually come from: lame delegations, garbage
 // responses, half-dead infrastructure. It is the only code that rewrites
-// an authority's answer; server::AuthServer always answers honestly.
+// an authority's answer, over the datagram and the stream transport alike
+// (StreamTransport::set_mutator takes the same mutators);
+// server::AuthServer always answers honestly.
 //
 // Each ByzantineBehavior is seedable and scriptable per address and
 // per time-window exactly like Fault:
@@ -54,9 +56,13 @@ enum class ByzantineKind : std::uint8_t {
   EdnsBufferLie,   // ignore the advertised size: spurious TC truncation
   EdnsGarble,      // garble the OPT RDATA (undecodable option tail)
   EdnsDuplicateOpt,  // append a second copy of the response's OPT record
+
+  // --- DoTCP bait-and-switch: installed on the stream side after an
+  // honest TC=1 over UDP. ------------------------------------------------
+  DifferentAnswer,  // a forged, unsigned answer to the question asked
 };
 
-constexpr std::size_t kByzantineKindCount = 18;  // incl. None
+constexpr std::size_t kByzantineKindCount = 19;  // incl. None
 
 [[nodiscard]] const char* to_string(ByzantineKind kind);
 
@@ -138,6 +144,9 @@ struct ByzantineBehavior {
   }
   static ByzantineBehavior edns_duplicate_opt(double p = 1.0) {
     return {ByzantineKind::EdnsDuplicateOpt, p};
+  }
+  static ByzantineBehavior different_answer(double p = 1.0) {
+    return {ByzantineKind::DifferentAnswer, p};
   }
 
   /// The same behavior, active only inside [t0, t1) of simulated time.

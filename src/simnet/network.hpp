@@ -179,7 +179,7 @@ class Network {
   /// The TCP-like stream transport sharing this network's clock and seed.
   /// Servers listen on it via StreamTransport::listen (see
   /// server::AuthServer::stream_endpoint), the resolver's DoTCP fallback
-  /// connects through it.
+  /// makes each attempt through StreamTransport::exchange.
   [[nodiscard]] StreamTransport& stream() { return *stream_; }
   [[nodiscard]] const StreamTransport& stream() const { return *stream_; }
 
@@ -237,7 +237,6 @@ class Network {
     std::uint64_t mutated = 0;       // responses tampered with by a mutator
   };
   [[nodiscard]] const Stats& stats() const { return stats_; }
-  void reset_stats() { stats_ = {}; }
 
   /// Optional per-send trace (timestamp + destination), for asserting
   /// retry/backoff spacing in tests. Bounded; disabled by default.

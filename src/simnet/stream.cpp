@@ -4,10 +4,7 @@
 #include <utility>
 
 #include "crypto/rng.hpp"
-#include "dnscore/message.hpp"
-#include "dnscore/rdata.hpp"
 #include "dnscore/wire.hpp"
-#include "simnet/byzantine.hpp"
 
 namespace ede::sim {
 
@@ -19,68 +16,11 @@ namespace {
 /// replaying when one side adds a probe.
 constexpr std::uint64_t kStreamSeedSalt = 0x57e4'a117'ced5'eedULL;
 
-/// One TCP segment's worth of payload (Ethernet MTU minus headers).
-constexpr std::size_t kSegmentBytes = 1'460;
-
-/// Connections untouched for this long are reaped on next use, the way a
-/// busy authority sheds idle DoTCP clients.
-constexpr SimTimeMs kIdleTimeoutMs = 30'000;
-
 /// The length prefix is two bytes, so a frame can never exceed the DNS
 /// maximum message size.
 constexpr std::size_t kMaxFrame = 0xffff;
 
-/// TEST-NET-1 target for the forged-over-TCP answer, the same visibly
-/// bogus address the datagram Byzantine zoo plants (see byzantine.cpp).
-const dns::Ipv4Address kForgedAddress{std::array<std::uint8_t, 4>{
-    192, 0, 2, 66}};
-
-/// The DifferentAnswer forge: a plausible, in-bailiwick, *unsigned* answer
-/// to the question actually asked, plus a poison-marker additional record.
-/// The unsigned answer is the calibration point — a validating resolver
-/// must reject it (RRSIGs missing), and the poison record must never
-/// survive the scrubber; both are chaos-campaign invariants.
-std::optional<crypto::Bytes> forge_answer(crypto::BytesView query_wire) {
-  auto parsed = dns::Message::parse(query_wire);
-  if (!parsed.ok() || parsed.value().question.empty()) return std::nullopt;
-  const dns::Message& query = parsed.value();
-  const auto& q = query.question.front();
-
-  dns::Message forged;
-  forged.header.id = query.header.id;
-  forged.header.qr = true;
-  forged.header.aa = true;
-  forged.question = query.question;
-  if (q.qtype == dns::RRType::TXT) {
-    dns::TxtRdata txt;
-    txt.strings.push_back("forged-over-tcp");
-    forged.answer.push_back(
-        {q.qname, dns::RRType::TXT, dns::RRClass::IN, 86'400, txt});
-  } else {
-    forged.answer.push_back({q.qname, dns::RRType::A, dns::RRClass::IN,
-                             86'400, dns::ARdata{kForgedAddress}});
-  }
-  forged.additional.push_back({poison_marker(), dns::RRType::A,
-                               dns::RRClass::IN, 86'400,
-                               dns::ARdata{kForgedAddress}});
-  return forged.serialize();
-}
-
 }  // namespace
-
-const char* to_string(StreamBehaviorKind kind) {
-  switch (kind) {
-    case StreamBehaviorKind::None: return "none";
-    case StreamBehaviorKind::Refuse: return "refuse";
-    case StreamBehaviorKind::SynDrop: return "syn-drop";
-    case StreamBehaviorKind::Stall: return "stall";
-    case StreamBehaviorKind::MidClose: return "mid-close";
-    case StreamBehaviorKind::GarbageFrame: return "garbage-frame";
-    case StreamBehaviorKind::DifferentAnswer: return "different-answer";
-    case StreamBehaviorKind::SegmentLoss: return "segment-loss";
-  }
-  return "unknown";
-}
 
 crypto::Bytes frame_message(crypto::BytesView payload) {
   const std::size_t len = std::min(payload.size(), kMaxFrame);
@@ -125,11 +65,6 @@ FrameAssembler::PopResult FrameAssembler::pop() {
   return {Status::Frame, std::move(frame).take()};
 }
 
-void FrameAssembler::reset() {
-  buffer_.clear();
-  consumed_ = 0;
-}
-
 StreamTransport::StreamTransport(std::shared_ptr<Clock> clock,
                                  std::uint64_t seed)
     : clock_(std::move(clock)), rng_(seed ^ kStreamSeedSalt) {
@@ -138,14 +73,6 @@ StreamTransport::StreamTransport(std::shared_ptr<Clock> clock,
 
 void StreamTransport::listen(const NodeAddress& address, Endpoint endpoint) {
   listeners_[address] = std::move(endpoint);
-}
-
-void StreamTransport::ignore(const NodeAddress& address) {
-  listeners_.erase(address);
-}
-
-bool StreamTransport::listening(const NodeAddress& address) const {
-  return listeners_.count(address) != 0;
 }
 
 void StreamTransport::set_behaviors(const NodeAddress& address,
@@ -180,6 +107,10 @@ std::uint32_t StreamTransport::link_rtt() {
   return rtt;
 }
 
+void StreamTransport::charge(std::uint32_t rtt_ms) {
+  if (latency_.enabled) clock_->advance_ms(rtt_ms);
+}
+
 StreamBehavior StreamTransport::pick_behavior(
     const NodeAddress& address,
     std::initializer_list<StreamBehaviorKind> kinds) {
@@ -195,66 +126,43 @@ StreamBehavior StreamTransport::pick_behavior(
   return {};
 }
 
-StreamTransport::ConnectResult StreamTransport::connect(
-    const NodeAddress& source, const NodeAddress& destination) {
+StreamTransport::Result StreamTransport::exchange(
+    const NodeAddress& source, const NodeAddress& destination,
+    crypto::BytesView query) {
   ++stats_.connects_attempted;
 
   if (!destination.is_routable()) {
     // ICMP comes back, so the round trip is charged like the datagram side.
     const std::uint32_t rtt = link_rtt();
-    if (latency_.enabled) clock_->advance_ms(rtt);
-    return {ConnectStatus::Unreachable, 0, rtt};
+    charge(rtt);
+    return {Status::Unreachable, {}, rtt};
   }
 
-  const auto behavior = pick_behavior(
+  // ---- handshake ------------------------------------------------------
+  const auto handshake = pick_behavior(
       destination, {StreamBehaviorKind::Refuse, StreamBehaviorKind::SynDrop});
-  if (behavior.kind == StreamBehaviorKind::SynDrop) {
+  if (handshake.kind == StreamBehaviorKind::SynDrop) {
     // Silent drop: nothing is charged here, the caller's own connect
-    // timeout is what elapses (via Network::wait_ms).
+    // timeout is what elapses.
     ++stats_.connects_dropped;
-    return {ConnectStatus::Timeout, 0, 0};
+    return {Status::SynTimeout, {}, 0};
   }
 
-  const std::uint32_t rtt = link_rtt();
-  if (behavior.kind == StreamBehaviorKind::Refuse ||
-      listeners_.count(destination) == 0) {
+  const std::uint32_t handshake_rtt = link_rtt();
+  const auto listener = listeners_.find(destination);
+  if (handshake.kind == StreamBehaviorKind::Refuse ||
+      listener == listeners_.end()) {
     // An RST (or port-closed RST from a UDP-only host) arrives promptly.
     ++stats_.connects_refused;
-    if (latency_.enabled) clock_->advance_ms(rtt);
-    return {ConnectStatus::Refused, 0, rtt};
+    charge(handshake_rtt);
+    return {Status::Refused, {}, handshake_rtt};
   }
 
   // SYN / SYN-ACK / ACK: one round trip before data can flow.
-  if (latency_.enabled) clock_->advance_ms(rtt);
+  charge(handshake_rtt);
   ++stats_.connects_established;
-  const std::uint64_t conn_id = next_conn_id_++;
-  connections_[conn_id] = {source, destination, clock_->now_ms()};
-  return {ConnectStatus::Established, conn_id, rtt};
-}
 
-StreamTransport::IoResult StreamTransport::exchange(std::uint64_t conn_id,
-                                                    crypto::BytesView query) {
-  const auto conn_it = connections_.find(conn_id);
-  if (conn_it == connections_.end()) return {IoStatus::Closed, {}, 0};
-  Connection& conn = conn_it->second;
-
-  ++stats_.exchanges;
-  const SimTimeMs now_ms = clock_->now_ms();
-  if (now_ms - conn.last_active_ms > kIdleTimeoutMs) {
-    ++stats_.idle_closes;
-    connections_.erase(conn_it);
-    return {IoStatus::Closed, {}, 0};
-  }
-  conn.last_active_ms = now_ms;
-
-  const NodeAddress peer = conn.peer;
-  const auto listener = listeners_.find(peer);
-  if (listener == listeners_.end()) {
-    // The server stopped listening under us: RST on the next write.
-    connections_.erase(conn_it);
-    return {IoStatus::Closed, {}, 0};
-  }
-
+  // ---- exchange -------------------------------------------------------
   // The query travels framed; the server de-chunks it through the same
   // assembler the client uses on responses, so both directions of the
   // length-prefix codec are exercised on every exchange.
@@ -262,115 +170,67 @@ StreamTransport::IoResult StreamTransport::exchange(std::uint64_t conn_id,
   server_side.feed(frame_message(query));
   auto inbound = server_side.pop();
   if (inbound.status != FrameAssembler::Status::Frame) {
-    connections_.erase(conn_it);
-    return {IoStatus::Closed, {}, 0};
+    return {Status::Closed, {}, handshake_rtt};
   }
 
-  auto response = listener->second(inbound.frame, PacketContext{conn.source});
+  auto response = listener->second(inbound.frame, PacketContext{source});
   std::uint32_t rtt = link_rtt();
   if (!response) {
     // The server dropped the query; over a stream that reads as a close.
-    if (latency_.enabled) clock_->advance_ms(rtt);
-    connections_.erase(conn_it);
-    return {IoStatus::Closed, {}, rtt};
+    charge(rtt);
+    return {Status::Closed, {}, handshake_rtt + rtt};
   }
 
   // Byzantine hook on the unframed response bytes, exactly like the
   // datagram path: the zoo in simnet/byzantine.hpp works unchanged here.
-  if (const auto mut = mutators_.find(peer); mut != mutators_.end()) {
+  if (const auto mut = mutators_.find(destination); mut != mutators_.end()) {
     MutateContext ctx;
     ctx.now = clock_->now();
     auto rewritten = mut->second(query, std::move(*response), ctx);
     if (ctx.mutated) ++stats_.mutated;
     rtt += ctx.extra_delay_ms;
     if (!rewritten) {
-      if (latency_.enabled) clock_->advance_ms(rtt);
-      connections_.erase(conn_it);
-      return {IoStatus::Closed, {}, rtt};
+      charge(rtt);
+      return {Status::Closed, {}, handshake_rtt + rtt};
     }
     response = std::move(rewritten);
   }
 
   const auto behavior = pick_behavior(
-      peer, {StreamBehaviorKind::Stall, StreamBehaviorKind::MidClose,
-             StreamBehaviorKind::GarbageFrame,
-             StreamBehaviorKind::DifferentAnswer,
-             StreamBehaviorKind::SegmentLoss});
-  switch (behavior.kind) {
-    case StreamBehaviorKind::Stall:
-      // Accepted, acked, then silence: the caller's read patience elapses
-      // via wait_ms, nothing is charged here.
-      ++stats_.stalls;
-      return {IoStatus::Timeout, {}, 0};
-    case StreamBehaviorKind::DifferentAnswer:
-      if (auto forged = forge_answer(query); forged.has_value()) {
-        ++stats_.forged_answers;
-        response = std::move(forged);
-      }
-      break;
-    case StreamBehaviorKind::GarbageFrame: {
-      ++stats_.garbage_frames;
-      dns::WireWriter writer;
-      if (rng_.below(2) == 0) {
-        // A zero-length frame: BadFrame at the assembler.
-        writer.write_u16(0);
-      } else {
-        // Over-declared prefix: the frame never completes, the reader's
-        // patience runs out (NeedMore forever).
-        writer.write_u16(static_cast<std::uint16_t>(
-            std::min(response->size() + 64, kMaxFrame)));
-        writer.write_bytes(*response);
-      }
-      if (latency_.enabled) clock_->advance_ms(rtt);
-      return {IoStatus::Ok, std::move(writer).take(), rtt};
+      destination, {StreamBehaviorKind::Stall, StreamBehaviorKind::MidClose,
+                    StreamBehaviorKind::GarbageFrame});
+  if (behavior.kind == StreamBehaviorKind::Stall) {
+    // Accepted, acked, then silence: the caller's read patience elapses,
+    // nothing is charged here.
+    ++stats_.stalls;
+    return {Status::Stalled, {}, handshake_rtt};
+  }
+  if (behavior.kind == StreamBehaviorKind::GarbageFrame) {
+    ++stats_.garbage_frames;
+    dns::WireWriter writer;
+    if (rng_.below(2) == 0) {
+      // A zero-length frame: BadFrame at the assembler.
+      writer.write_u16(0);
+    } else {
+      // Over-declared prefix: the frame never completes, the reader's
+      // patience runs out (NeedMore forever).
+      writer.write_u16(static_cast<std::uint16_t>(
+          std::min(response->size() + 64, kMaxFrame)));
+      writer.write_bytes(*response);
     }
-    case StreamBehaviorKind::None:
-    case StreamBehaviorKind::Refuse:
-    case StreamBehaviorKind::SynDrop:
-    case StreamBehaviorKind::MidClose:
-    case StreamBehaviorKind::SegmentLoss:
-      break;
+    charge(rtt);
+    return {Status::Ok, std::move(writer).take(), handshake_rtt + rtt};
   }
 
   crypto::Bytes framed = frame_message(*response);
-
+  charge(rtt);
   if (behavior.kind == StreamBehaviorKind::MidClose) {
     ++stats_.mid_closes;
-    const std::size_t keep =
-        std::min<std::size_t>(behavior.param, framed.size());
-    framed.resize(keep);
-    if (latency_.enabled) clock_->advance_ms(rtt);
-    connections_.erase(conn_it);
-    return {IoStatus::Closed, std::move(framed), rtt};
+    framed.resize(std::min<std::size_t>(behavior.param, framed.size()));
+    return {Status::Closed, std::move(framed), handshake_rtt + rtt};
   }
-
-  // Segment accounting: every kSegmentBytes chunk is one segment. Under
-  // SegmentLoss each lost segment is retransmitted at the cost of one
-  // extra round trip — TCP never loses data, only time.
-  const std::size_t segments = (framed.size() + kSegmentBytes - 1) /
-                               kSegmentBytes;
-  stats_.segments_sent += segments;
-  if (behavior.kind == StreamBehaviorKind::SegmentLoss) {
-    const double per_segment = static_cast<double>(behavior.param) / 100.0;
-    for (std::size_t i = 0; i < segments; ++i) {
-      if (rng_.uniform() < per_segment) {
-        ++stats_.segments_lost;
-        rtt += link_rtt();
-      }
-    }
-  }
-
-  if (latency_.enabled) clock_->advance_ms(rtt);
   ++stats_.frames_delivered;
-  return {IoStatus::Ok, std::move(framed), rtt};
-}
-
-void StreamTransport::close(std::uint64_t conn_id) {
-  connections_.erase(conn_id);
-}
-
-bool StreamTransport::open(std::uint64_t conn_id) const {
-  return connections_.count(conn_id) != 0;
+  return {Status::Ok, std::move(framed), handshake_rtt + rtt};
 }
 
 }  // namespace ede::sim

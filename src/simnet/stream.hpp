@@ -2,16 +2,17 @@
 // as the datagram Network.
 //
 // DNS over a stream is two-byte length-prefixed messages (RFC 1035
-// §4.2.2) on a connection with a lifecycle: a SYN handshake that costs a
-// round trip, acceptance or refusal, per-segment loss absorbed by
-// retransmission (extra RTTs, never lost data), mid-stream closes and
-// idle timeouts. Each of those states is a distinct real-world failure
-// the paper's EDE 22/23 categories fold together, so the simulation keeps
-// them distinct and injectable: StreamBehavior mirrors the datagram
-// ByzantineBehavior zoo with TCP-specific hostility (refuse-connection,
-// accept-then-stall, close-after-N-bytes, garbage framing, and the
-// TC-then-different-answer-over-TCP bait-and-switch), and the datagram
-// ResponseMutator hook works unchanged on the unframed response bytes.
+// §4.2.2) on a connection: a SYN handshake that costs a round trip,
+// acceptance or refusal, then one query and whatever the peer sends back
+// before it closes. The resolver opens a fresh connection per DoTCP
+// attempt, so one exchange() call is the whole connection. Each way that
+// call can die is a distinct real-world failure the paper's EDE 22/23
+// categories fold together, so the simulation keeps them distinct and
+// injectable: StreamBehavior holds the TCP-specific transport faults
+// (refuse-connection, SYN drop, accept-then-stall, close-after-N-bytes,
+// garbage framing), and the datagram ResponseMutator hook works unchanged
+// on the unframed response bytes — the Byzantine zoo (simnet/byzantine.hpp)
+// stays the only code that rewrites an answer, over either transport.
 //
 // The framing codec goes through dnscore's WireWriter/WireReader like
 // every other byte-level encoder in the tree; FrameAssembler is shared by
@@ -22,7 +23,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -36,30 +36,23 @@ namespace ede::sim {
 
 enum class StreamBehaviorKind : std::uint8_t {
   None = 0,
-  Refuse,           // RST the handshake (connection refused)
-  SynDrop,          // swallow the SYN (connect times out at the client)
-  Stall,            // accept, then never send a response byte
-  MidClose,         // close after the first N bytes of the response frame
-  GarbageFrame,     // framing garbage: zero-length or over-declared prefix
-  DifferentAnswer,  // serve a forged, unsigned answer over the stream
-  SegmentLoss,      // per-segment loss; TCP retransmits (extra RTTs only)
+  Refuse,        // RST the handshake (connection refused)
+  SynDrop,       // swallow the SYN (connect times out at the client)
+  Stall,         // accept, then never send a response byte
+  MidClose,      // close after the first N bytes of the response frame
+  GarbageFrame,  // framing garbage: zero-length or over-declared prefix
 };
-
-constexpr std::size_t kStreamBehaviorKindCount = 8;  // incl. None
-
-[[nodiscard]] const char* to_string(StreamBehaviorKind kind);
 
 /// One scripted hostile stream behavior. Construct via the factories and
 /// scope to a simulated-time window with between(), exactly like Fault and
 /// ByzantineBehavior. `probability` is the chance the behavior fires per
-/// connection attempt (Refuse/SynDrop) or per exchange (the rest).
+/// handshake (Refuse/SynDrop) or per exchange after it (the rest).
 struct StreamBehavior {
   StreamBehaviorKind kind = StreamBehaviorKind::None;
   double probability = 1.0;
   SimTime active_from = 0;
   SimTime active_until = kFaultForever;
-  /// Kind-specific knob: MidClose = response bytes delivered before the
-  /// close, SegmentLoss = percent chance each segment is lost in flight.
+  /// MidClose only: response bytes delivered before the close.
   std::uint32_t param = 0;
 
   static StreamBehavior refuse(double p = 1.0) {
@@ -78,15 +71,6 @@ struct StreamBehavior {
   }
   static StreamBehavior garbage_frame(double p = 1.0) {
     return {StreamBehaviorKind::GarbageFrame, p};
-  }
-  static StreamBehavior different_answer(double p = 1.0) {
-    return {StreamBehaviorKind::DifferentAnswer, p};
-  }
-  static StreamBehavior segment_loss(double p = 1.0,
-                                     std::uint32_t percent = 30) {
-    StreamBehavior b{StreamBehaviorKind::SegmentLoss, p};
-    b.param = percent;
-    return b;
   }
 
   /// The same behavior, active only inside [t0, t1) of simulated time.
@@ -109,15 +93,10 @@ struct StreamStats {
   std::uint64_t connects_established = 0;
   std::uint64_t connects_refused = 0;
   std::uint64_t connects_dropped = 0;  // SYN swallowed: times out at client
-  std::uint64_t exchanges = 0;
   std::uint64_t frames_delivered = 0;
-  std::uint64_t segments_sent = 0;
-  std::uint64_t segments_lost = 0;  // retransmitted, never actually lost
   std::uint64_t stalls = 0;
   std::uint64_t mid_closes = 0;
   std::uint64_t garbage_frames = 0;
-  std::uint64_t forged_answers = 0;
-  std::uint64_t idle_closes = 0;
   std::uint64_t mutated = 0;  // responses tampered with by a ResponseMutator
 };
 
@@ -148,7 +127,6 @@ class FrameAssembler {
   [[nodiscard]] std::size_t pending() const {
     return buffer_.size() - consumed_;
   }
-  void reset();
 
  private:
   crypto::Bytes buffer_;
@@ -157,21 +135,19 @@ class FrameAssembler {
 
 /// The stream transport. One instance lives inside each Network (see
 /// Network::stream()) sharing its Clock; servers listen with the same
-/// Endpoint signature they attach to the datagram side, and connections
-/// are plain ids the caller opens, exchanges on, and closes.
+/// Endpoint signature they attach to the datagram side, and a client
+/// makes each connection with one exchange() call.
 class StreamTransport {
  public:
   StreamTransport(std::shared_ptr<Clock> clock, std::uint64_t seed);
 
   /// Accept connections at `address`, answering queries via `endpoint`.
   void listen(const NodeAddress& address, Endpoint endpoint);
-  void ignore(const NodeAddress& address);
-  [[nodiscard]] bool listening(const NodeAddress& address) const;
 
   /// Install a hostile-behavior schedule for connections to `address`
   /// (empty schedule clears). Evaluated like the Byzantine zoo: first
   /// behavior active at sim-time whose probability draw fires handles the
-  /// connection attempt or exchange.
+  /// handshake or the exchange.
   void set_behaviors(const NodeAddress& address,
                      std::vector<StreamBehavior> behaviors);
 
@@ -184,54 +160,37 @@ class StreamTransport {
   /// datagram jitter/loss draws never perturb the stream schedule.
   void set_latency(const LatencyModel& model);
 
-  enum class ConnectStatus : std::uint8_t {
-    Established,
-    Refused,      // RST: the peer actively refused
-    Timeout,      // SYN swallowed (or nobody listening): client waits
+  enum class Status : std::uint8_t {
+    Ok,           // bytes delivered (a frame, or hostile framing garbage)
+    Refused,      // RST: the peer actively refused the handshake
+    SynTimeout,   // SYN swallowed: the client's connect timer elapses
     Unreachable,  // not globally routable, exactly like the datagram side
+    Stalled,      // accepted, then silence: the client's read timer elapses
+    Closed,       // the peer closed; any bytes are what arrived before the FIN
   };
-  struct ConnectResult {
-    ConnectStatus status = ConnectStatus::Timeout;
-    std::uint64_t conn_id = 0;  // valid only when Established
-    /// Handshake round-trip charged to the clock (latency model on).
-    std::uint32_t rtt_ms = 0;
-  };
-  [[nodiscard]] ConnectResult connect(const NodeAddress& source,
-                                      const NodeAddress& destination);
-
-  enum class IoStatus : std::uint8_t {
-    Ok,       // bytes delivered (a frame, or hostile framing garbage)
-    Timeout,  // nothing arrived within the caller's read patience
-    Closed,   // the peer closed; any bytes are what arrived before the FIN
-  };
-  struct IoResult {
-    IoStatus status = IoStatus::Timeout;
+  struct Result {
+    Status status = Status::SynTimeout;
     /// Raw stream bytes as received — length prefix included, possibly a
     /// partial or garbage frame. Run them through a FrameAssembler.
     crypto::Bytes bytes;
+    /// Handshake plus exchange round trips charged to the clock (latency
+    /// model on).
     std::uint32_t rtt_ms = 0;
   };
-  /// Write one DNS query on the connection and read whatever the peer
-  /// sends back. A Timeout result means nothing arrived — the caller
-  /// decides how long it waited (via the owning Network's wait_ms
-  /// discipline), exactly like a datagram drop.
-  [[nodiscard]] IoResult exchange(std::uint64_t conn_id,
-                                  crypto::BytesView query);
-
-  void close(std::uint64_t conn_id);
-  [[nodiscard]] bool open(std::uint64_t conn_id) const;
+  /// One connection from `source` to `destination`: handshake, write one
+  /// DNS query, read whatever the peer sends back, close. A swallowed SYN
+  /// or a stall charges no wait — the caller decides how long it waited,
+  /// exactly like a datagram drop.
+  [[nodiscard]] Result exchange(const NodeAddress& source,
+                                const NodeAddress& destination,
+                                crypto::BytesView query);
 
   [[nodiscard]] const StreamStats& stats() const { return stats_; }
-  void reset_stats() { stats_ = {}; }
 
  private:
-  struct Connection {
-    NodeAddress source;
-    NodeAddress peer;
-    SimTimeMs last_active_ms = 0;
-  };
-
   [[nodiscard]] std::uint32_t link_rtt();
+  /// Advance the clock by `rtt_ms` when the latency model is on.
+  void charge(std::uint32_t rtt_ms);
   /// First behavior at `address` active now, drawn from `kinds`, whose
   /// probability fires. None when nothing fires.
   [[nodiscard]] StreamBehavior pick_behavior(
@@ -244,11 +203,9 @@ class StreamTransport {
                      NodeAddressHash>
       behaviors_;
   std::unordered_map<NodeAddress, ResponseMutator, NodeAddressHash> mutators_;
-  std::unordered_map<std::uint64_t, Connection> connections_;
   LatencyModel latency_;
   crypto::Xoshiro256 rng_;
   StreamStats stats_;
-  std::uint64_t next_conn_id_ = 1;
 };
 
 }  // namespace ede::sim

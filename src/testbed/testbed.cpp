@@ -278,8 +278,9 @@ void Testbed::build_stream_family(zone::Zone& base_zone) {
             child_addr, {sim::StreamBehavior::garbage_frame()});
         break;
       case StreamFault::DifferentAnswer:
-        network_->stream().set_behaviors(
-            child_addr, {sim::StreamBehavior::different_answer()});
+        network_->stream().set_mutator(
+            child_addr, sim::make_byzantine_mutator(
+                            {sim::ByzantineBehavior::different_answer()}, 0));
         break;
       case StreamFault::FragDrop:
         network_->inject_fault(child_addr, sim::Fault::frag_drop());

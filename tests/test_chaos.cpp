@@ -493,10 +493,14 @@ TEST(ChaosCoalescing, DuplicateGluelessNsIsCoalescedOnFailure) {
   EXPECT_EQ(without_stats.coalesced_queries, 0u);
   EXPECT_LT(with_packets, without_packets);
 
-  // Classification-neutral: same rcode and the same EDE codes in order.
+  // Classification-neutral: same rcode and the same EDEs in order, down to
+  // the EXTRA-TEXT — a memo replay repeats the failure's findings word for
+  // word.
   ASSERT_EQ(with.errors.size(), without.errors.size());
-  for (std::size_t i = 0; i < with.errors.size(); ++i)
+  for (std::size_t i = 0; i < with.errors.size(); ++i) {
     EXPECT_EQ(with.errors[i].code, without.errors[i].code);
+    EXPECT_EQ(with.errors[i].extra_text, without.errors[i].extra_text);
+  }
 }
 
 // A fully scripted Byzantine scenario replays bit-identically for a fixed

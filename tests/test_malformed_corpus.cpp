@@ -87,6 +87,9 @@ TEST(MalformedCorpus, EveryMutatorOutputParsesOrFailsCleanly) {
   EXPECT_EQ(parse_mutated_corpus(sim::ByzantineBehavior::bailiwick_stuff(),
                                  kRounds),
             kRounds);
+  EXPECT_EQ(parse_mutated_corpus(sim::ByzantineBehavior::different_answer(),
+                                 kRounds),
+            kRounds);
   // …structure-destroying ones must never parse…
   EXPECT_EQ(parse_mutated_corpus(sim::ByzantineBehavior::pointer_loop(),
                                  kRounds),
@@ -387,6 +390,12 @@ TEST(MalformedCorpus, ContainsPoisonMatchesTheStuffedWire) {
   const auto stuffed = mutator(query, response, ctx);
   ASSERT_TRUE(stuffed.has_value());
   EXPECT_TRUE(sim::contains_poison(*stuffed));
+
+  auto forger = sim::make_byzantine_mutator(
+      {sim::ByzantineBehavior::different_answer()}, 1);
+  const auto forged = forger(query, response, ctx);
+  ASSERT_TRUE(forged.has_value());
+  EXPECT_TRUE(sim::contains_poison(*forged));
 
   crypto::Bytes garbage(40, 0xff);
   EXPECT_FALSE(sim::contains_poison(garbage));

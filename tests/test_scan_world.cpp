@@ -2,6 +2,8 @@
 // on-demand synthesis determinism, provider pools and the CSV exporters.
 #include <gtest/gtest.h>
 
+#include <cctype>
+
 #include "edns/edns.hpp"
 #include "scan/export.hpp"
 #include "scan/scanner.hpp"
@@ -186,6 +188,56 @@ TEST_F(ScanWorldFixture, LookupFindsExactlyRegisteredNames) {
   const auto& any = population_.domains.front();
   EXPECT_EQ(world_.lookup(Name::of(any.fqdn)), &any);
   EXPECT_EQ(world_.lookup(Name::of("not-registered.example")), nullptr);
+}
+
+// Domain i is named "d<i>.<tld>" at every scale and seed: the trim that
+// lands the population on its size only ever pops healthy domains off the
+// tail, so ScanWorld::lookup can read the index from the name.
+TEST_F(ScanWorldFixture, EveryNameCarriesItsPosition) {
+  for (const std::size_t size : {10u, 300u, 3'000u, 30'000u}) {
+    for (const std::uint64_t seed : {42u, 7u}) {
+      PopulationConfig config;
+      config.total_domains = size;
+      config.seed = seed;
+      const auto population = generate_population(config);
+      ASSERT_GE(population.domains.size(), size);
+      for (std::size_t i = 0; i < population.domains.size(); ++i) {
+        const auto& domain = population.domains[i];
+        ASSERT_EQ(domain.fqdn, "d" + std::to_string(i) + "." +
+                                   population.tlds[domain.tld].name)
+            << size << " domains, seed " << seed;
+      }
+    }
+  }
+}
+
+TEST_F(ScanWorldFixture, LookupReadsTheIndexFromTheName) {
+  const auto& domains = population_.domains;
+  for (const auto& domain : domains) {
+    ASSERT_EQ(world_.lookup(Name::of(domain.fqdn)), &domain) << domain.fqdn;
+    std::string upper = domain.fqdn;
+    for (auto& c : upper) c = static_cast<char>(std::toupper(c));
+    ASSERT_EQ(world_.lookup(Name::of(upper)), &domain) << upper;
+  }
+
+  const auto& d12 = domains[12];
+  ASSERT_EQ(d12.fqdn.rfind("d12.", 0), 0u);
+  const std::string tld = population_.tlds[d12.tld].name;
+  const std::string other_tld =
+      population_.tlds[(d12.tld + 1) % population_.tlds.size()].name;
+  ASSERT_NE(tld, other_tld);
+  for (const std::string& miss :
+       {"d" + std::to_string(domains.size()) + "." + tld,  // one past the end
+        "d012." + tld,                                     // leading zero
+        "d12." + other_tld,                                // wrong TLD
+        "x12." + tld,                                      // not a d label
+        "d." + tld,                                        // no index
+        "d-1." + tld, "d+1." + tld,
+        "d1234567890123456789012345." + tld,  // overflows the index
+        std::string{"d12"},                   // one label
+        "www.d12." + tld}) {                  // three labels
+    EXPECT_EQ(world_.lookup(Name::of(miss)), nullptr) << miss;
+  }
 }
 
 TEST_F(ScanWorldFixture, ProviderPoolsAreBoundedAndDisjoint) {

@@ -1,9 +1,9 @@
 // The stream transport in isolation: RFC 1035 §4.2.2 framing edge cases
 // (a length prefix split across segment boundaries, zero-length frames,
-// over-declared prefixes), the connection lifecycle (refuse, SYN drop,
-// idle timeout, mid-stream close), the hostile-behavior zoo, the response
-// mutator hook, and the fixed-seed replay guarantee chaos storylines
-// depend on.
+// over-declared prefixes), the one-call connection lifecycle (refuse, SYN
+// drop, mid-stream close), the transport faults, the response mutator
+// hook (the Byzantine zoo's forged answer included), and the fixed-seed
+// replay guarantee chaos storylines depend on.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -22,8 +22,7 @@ using ede::sim::FrameAssembler;
 using ede::sim::NodeAddress;
 using ede::sim::StreamBehavior;
 using ede::sim::StreamTransport;
-using ConnectStatus = StreamTransport::ConnectStatus;
-using IoStatus = StreamTransport::IoStatus;
+using StreamStatus = StreamTransport::Status;
 using Status = FrameAssembler::Status;
 
 Bytes bytes_of(std::initializer_list<std::uint8_t> values) {
@@ -112,10 +111,10 @@ struct StreamWorld {
     });
   }
 
-  ede::sim::StreamTransport::IoResult ask(StreamTransport& t,
-                                          std::uint64_t conn_id) {
-    return t.exchange(conn_id, bytes_of({0x01}));
+  StreamTransport::Result ask(const NodeAddress& to) {
+    return transport.exchange(client, to, bytes_of({0x01}));
   }
+  StreamTransport::Result ask() { return ask(server); }
 
   std::shared_ptr<Clock> clock;
   StreamTransport transport;
@@ -126,56 +125,40 @@ struct StreamWorld {
 
 TEST(StreamLifecycle, HandshakeExchangeClose) {
   StreamWorld w;
-  const auto conn = w.transport.connect(w.client, w.server);
-  ASSERT_EQ(conn.status, ConnectStatus::Established);
-  EXPECT_TRUE(w.transport.open(conn.conn_id));
-
-  const auto io = w.ask(w.transport, conn.conn_id);
-  ASSERT_EQ(io.status, IoStatus::Ok);
+  const auto reply = w.ask();
+  ASSERT_EQ(reply.status, StreamStatus::Ok);
   EXPECT_EQ(w.last_query, bytes_of({0x01}));  // de-framed server side
 
   FrameAssembler assembler;
-  assembler.feed(io.bytes);
+  assembler.feed(reply.bytes);
   const auto frame = assembler.pop();
   ASSERT_EQ(frame.status, Status::Frame);
   EXPECT_EQ(frame.frame, bytes_of({0xab, 0xcd}));
 
-  w.transport.close(conn.conn_id);
-  EXPECT_FALSE(w.transport.open(conn.conn_id));
+  EXPECT_EQ(w.transport.stats().connects_established, 1u);
   EXPECT_EQ(w.transport.stats().frames_delivered, 1u);
 }
 
 TEST(StreamLifecycle, NobodyListeningLooksRefused) {
   StreamWorld w;
-  const auto conn =
-      w.transport.connect(w.client, NodeAddress::of("93.184.216.77"));
-  EXPECT_EQ(conn.status, ConnectStatus::Refused);
+  const auto reply = w.ask(NodeAddress::of("93.184.216.77"));
+  EXPECT_EQ(reply.status, StreamStatus::Refused);
+  EXPECT_TRUE(reply.bytes.empty());
   EXPECT_EQ(w.transport.stats().connects_refused, 1u);
 }
 
 TEST(StreamLifecycle, RefuseBehaviorSendsRst) {
   StreamWorld w;
   w.transport.set_behaviors(w.server, {StreamBehavior::refuse()});
-  EXPECT_EQ(w.transport.connect(w.client, w.server).status,
-            ConnectStatus::Refused);
+  EXPECT_EQ(w.ask().status, StreamStatus::Refused);
+  EXPECT_TRUE(w.last_query.empty());  // the server never saw the query
 }
 
 TEST(StreamLifecycle, SynDropTimesOut) {
   StreamWorld w;
   w.transport.set_behaviors(w.server, {StreamBehavior::syn_drop()});
-  EXPECT_EQ(w.transport.connect(w.client, w.server).status,
-            ConnectStatus::Timeout);
+  EXPECT_EQ(w.ask().status, StreamStatus::SynTimeout);
   EXPECT_EQ(w.transport.stats().connects_dropped, 1u);
-}
-
-TEST(StreamLifecycle, IdleConnectionIsReaped) {
-  StreamWorld w;
-  const auto conn = w.transport.connect(w.client, w.server);
-  ASSERT_EQ(conn.status, ConnectStatus::Established);
-  w.clock->advance_ms(31'000);
-  EXPECT_EQ(w.ask(w.transport, conn.conn_id).status, IoStatus::Closed);
-  EXPECT_EQ(w.transport.stats().idle_closes, 1u);
-  EXPECT_FALSE(w.transport.open(conn.conn_id));
 }
 
 TEST(StreamLifecycle, BehaviorWindowExpires) {
@@ -183,8 +166,7 @@ TEST(StreamLifecycle, BehaviorWindowExpires) {
   w.transport.set_behaviors(
       w.server, {StreamBehavior::refuse().between(0, ede::sim::kDefaultNow)});
   // The window closed before the testbed's fixed "now": connects succeed.
-  EXPECT_EQ(w.transport.connect(w.client, w.server).status,
-            ConnectStatus::Established);
+  EXPECT_EQ(w.ask().status, StreamStatus::Ok);
 }
 
 // --- hostile exchange behaviors ---------------------------------------
@@ -192,9 +174,10 @@ TEST(StreamLifecycle, BehaviorWindowExpires) {
 TEST(StreamHostility, StallReadsAsTimeout) {
   StreamWorld w;
   w.transport.set_behaviors(w.server, {StreamBehavior::stall()});
-  const auto conn = w.transport.connect(w.client, w.server);
-  ASSERT_EQ(conn.status, ConnectStatus::Established);
-  EXPECT_EQ(w.ask(w.transport, conn.conn_id).status, IoStatus::Timeout);
+  const auto reply = w.ask();
+  EXPECT_EQ(reply.status, StreamStatus::Stalled);
+  EXPECT_TRUE(reply.bytes.empty());
+  EXPECT_EQ(w.transport.stats().connects_established, 1u);
   EXPECT_EQ(w.transport.stats().stalls, 1u);
 }
 
@@ -202,34 +185,32 @@ TEST(StreamHostility, MidCloseDeliversAPartialFrame) {
   StreamWorld w;
   w.transport.set_behaviors(w.server,
                             {StreamBehavior::mid_close(1.0, /*bytes=*/3)});
-  const auto conn = w.transport.connect(w.client, w.server);
-  ASSERT_EQ(conn.status, ConnectStatus::Established);
-  const auto io = w.ask(w.transport, conn.conn_id);
-  EXPECT_EQ(io.status, IoStatus::Closed);
-  EXPECT_EQ(io.bytes.size(), 3u);  // prefix + one payload byte, then FIN
-  EXPECT_FALSE(w.transport.open(conn.conn_id));
+  const auto reply = w.ask();
+  EXPECT_EQ(reply.status, StreamStatus::Closed);
+  EXPECT_EQ(reply.bytes.size(), 3u);  // prefix + one payload byte, then FIN
+  EXPECT_EQ(w.transport.stats().mid_closes, 1u);
 
   FrameAssembler assembler;
-  assembler.feed(io.bytes);
+  assembler.feed(reply.bytes);
   EXPECT_EQ(assembler.pop().status, Status::NeedMore);
 }
 
 TEST(StreamHostility, GarbageFrameNeverAssembles) {
   StreamWorld w;
   w.transport.set_behaviors(w.server, {StreamBehavior::garbage_frame()});
-  const auto conn = w.transport.connect(w.client, w.server);
-  ASSERT_EQ(conn.status, ConnectStatus::Established);
-  const auto io = w.ask(w.transport, conn.conn_id);
-  ASSERT_EQ(io.status, IoStatus::Ok);
+  const auto reply = w.ask();
+  ASSERT_EQ(reply.status, StreamStatus::Ok);
 
   FrameAssembler assembler;
-  assembler.feed(io.bytes);
+  assembler.feed(reply.bytes);
   const auto popped = assembler.pop();
   EXPECT_TRUE(popped.status == Status::BadFrame ||
               popped.status == Status::NeedMore);
   EXPECT_EQ(w.transport.stats().garbage_frames, 1u);
 }
 
+// The TC-then-different-answer bait-and-switch is a Byzantine behavior
+// installed through the stream's mutator hook, not a stream fault.
 TEST(StreamHostility, DifferentAnswerForgesUnsignedReply) {
   StreamWorld w;
   // A real DNS query this time, so the forge has a question to answer.
@@ -237,14 +218,15 @@ TEST(StreamHostility, DifferentAnswerForgesUnsignedReply) {
   query.header.id = 0x1234;
   query.question.push_back({ede::dns::Name::of("victim.example"),
                             ede::dns::RRType::A, ede::dns::RRClass::IN});
-  w.transport.set_behaviors(w.server, {StreamBehavior::different_answer()});
-  const auto conn = w.transport.connect(w.client, w.server);
-  ASSERT_EQ(conn.status, ConnectStatus::Established);
-  const auto io = w.transport.exchange(conn.conn_id, query.serialize());
-  ASSERT_EQ(io.status, IoStatus::Ok);
+  w.transport.set_mutator(
+      w.server, ede::sim::make_byzantine_mutator(
+                    {ede::sim::ByzantineBehavior::different_answer()}, 0));
+  const auto reply = w.transport.exchange(w.client, w.server,
+                                          query.serialize());
+  ASSERT_EQ(reply.status, StreamStatus::Ok);
 
   FrameAssembler assembler;
-  assembler.feed(io.bytes);
+  assembler.feed(reply.bytes);
   auto frame = assembler.pop();
   ASSERT_EQ(frame.status, Status::Frame);
   auto parsed = ede::dns::Message::parse(frame.frame);
@@ -258,7 +240,7 @@ TEST(StreamHostility, DifferentAnswerForgesUnsignedReply) {
   EXPECT_TRUE(forged.authority.empty());
   ASSERT_FALSE(forged.additional.empty());
   EXPECT_EQ(forged.additional[0].name, ede::sim::poison_marker());
-  EXPECT_EQ(w.transport.stats().forged_answers, 1u);
+  EXPECT_EQ(w.transport.stats().mutated, 1u);
 }
 
 // The datagram ResponseMutator hook on the stream side: it sees the
@@ -275,15 +257,13 @@ TEST(StreamHostility, MutatorRewritesTheResponseBeforeFraming) {
         ctx.mutated = true;
         return response;
       });
-  const auto conn = w.transport.connect(w.client, w.server);
-  ASSERT_EQ(conn.status, ConnectStatus::Established);
-  const auto io = w.ask(w.transport, conn.conn_id);
-  ASSERT_EQ(io.status, IoStatus::Ok);
+  const auto reply = w.ask();
+  ASSERT_EQ(reply.status, StreamStatus::Ok);
   EXPECT_EQ(seen_query, bytes_of({0x01}));
 
   // The length prefix covers the rewritten payload.
   FrameAssembler assembler;
-  assembler.feed(io.bytes);
+  assembler.feed(reply.bytes);
   const auto frame = assembler.pop();
   ASSERT_EQ(frame.status, Status::Frame);
   EXPECT_EQ(frame.frame, bytes_of({0xab, 0xcd, 0xef}));
@@ -300,27 +280,22 @@ TEST(StreamHostility, SwallowingMutatorReadsAsClose) {
         ctx.mutated = true;
         return std::nullopt;
       });
-  const auto conn = w.transport.connect(w.client, w.server);
-  ASSERT_EQ(conn.status, ConnectStatus::Established);
-  const auto io = w.ask(w.transport, conn.conn_id);
-  EXPECT_EQ(io.status, IoStatus::Closed);
-  EXPECT_TRUE(io.bytes.empty());
-  EXPECT_FALSE(w.transport.open(conn.conn_id));
+  const auto reply = w.ask();
+  EXPECT_EQ(reply.status, StreamStatus::Closed);
+  EXPECT_TRUE(reply.bytes.empty());
   EXPECT_EQ(w.transport.stats().mutated, 1u);
   EXPECT_EQ(w.transport.stats().frames_delivered, 0u);
 
   // A default-constructed mutator clears the hook.
   w.transport.set_mutator(w.server, nullptr);
-  const auto again = w.transport.connect(w.client, w.server);
-  ASSERT_EQ(again.status, ConnectStatus::Established);
-  EXPECT_EQ(w.ask(w.transport, again.conn_id).status, IoStatus::Ok);
+  EXPECT_EQ(w.ask().status, StreamStatus::Ok);
 }
 
 // --- determinism ------------------------------------------------------
 
 // A fixed seed must replay the exact same connection-fault storyline:
-// same refusals, same garbage draws, same segment-loss pattern. This is
-// the property the chaos campaign's run-twice-and-compare check rests on.
+// same refusals, same stalls, same garbage draws. This is the property
+// the chaos campaign's run-twice-and-compare check rests on.
 TEST(StreamDeterminism, FixedSeedStorylineReplays) {
   const auto run = [](std::uint64_t seed) {
     auto clock = std::make_shared<Clock>();
@@ -332,19 +307,15 @@ TEST(StreamDeterminism, FixedSeedStorylineReplays) {
     });
     transport.set_behaviors(
         server, {StreamBehavior::refuse(0.3), StreamBehavior::stall(0.2),
-                 StreamBehavior::segment_loss(0.5, 40)});
+                 StreamBehavior::garbage_frame(0.5)});
 
     std::vector<int> story;
     for (int i = 0; i < 64; ++i) {
-      const auto conn = transport.connect(client, server);
-      story.push_back(static_cast<int>(conn.status));
-      if (conn.status != ConnectStatus::Established) continue;
-      const auto io = transport.exchange(conn.conn_id, Bytes(40, 0x01));
-      story.push_back(static_cast<int>(io.status));
-      story.push_back(static_cast<int>(io.bytes.size()));
-      transport.close(conn.conn_id);
+      const auto reply = transport.exchange(client, server, Bytes(40, 0x01));
+      story.push_back(static_cast<int>(reply.status));
+      story.push_back(static_cast<int>(reply.bytes.size()));
     }
-    story.push_back(static_cast<int>(transport.stats().segments_lost));
+    story.push_back(static_cast<int>(transport.stats().garbage_frames));
     story.push_back(static_cast<int>(transport.stats().stalls));
     return story;
   };

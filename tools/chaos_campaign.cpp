@@ -219,9 +219,9 @@ std::vector<sim::ByzantineBehavior> draw_schedule(crypto::Xoshiro256& rng,
           p, static_cast<std::uint32_t>(1 + rng.below(16)));
       break;
     // The kind draw starts at 1 and stops before the EDNS kinds (they
-    // get their own --hostile-edns pass), so None and the EDNS
-    // enumerators never come up — if one ever did, treating it as the
-    // slow-drip default keeps the pass adversarial.
+    // get their own --hostile-edns pass) and the stream-side
+    // DifferentAnswer, so none of those ever comes up — if one ever did,
+    // treating it as the slow-drip default keeps the pass adversarial.
     case sim::ByzantineKind::None:
     case sim::ByzantineKind::EdnsDrop:
     case sim::ByzantineKind::EdnsFormerr:
@@ -231,6 +231,7 @@ std::vector<sim::ByzantineBehavior> draw_schedule(crypto::Xoshiro256& rng,
     case sim::ByzantineKind::EdnsBufferLie:
     case sim::ByzantineKind::EdnsGarble:
     case sim::ByzantineKind::EdnsDuplicateOpt:
+    case sim::ByzantineKind::DifferentAnswer:
     case sim::ByzantineKind::SlowDrip:
     default:
       behavior = sim::ByzantineBehavior::slow_drip(

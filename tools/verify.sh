@@ -30,6 +30,9 @@
 #      answers through the resolver's retry path. So do the cache and
 #      serving suites: the cache's expiry index and the zone's lookup
 #      index hold pointers into hash- and tree-map nodes (DESIGN.md §5m).
+#      So does the resolver suite: it drives the serve-stale and
+#      SERVFAIL-cache paths, which share one helper that writes into an
+#      outcome a suspended coroutine owns.
 #   5. configure + build a third tree with EDE_TSAN=ON (-fsanitize=thread)
 #      and run the parallel-scan suite under it — proof that the sharded
 #      scan's worker threads share nothing mutable.
@@ -117,14 +120,14 @@ echo "=== [3/13] hardened-warnings build: EDE_WERROR=ON must compile clean ==="
 cmake -B build-werror -S . -DEDE_WERROR=ON >/dev/null
 cmake --build build-werror -j "$JOBS"
 
-echo "=== [4/13] ASan+UBSan build: codec + robustness + chaos + malformed-corpus + parallel-scan + async core + zone + scan world + counters + resolver caps + resolver transport + cache + serving ==="
+echo "=== [4/13] ASan+UBSan build: codec + robustness + chaos + malformed-corpus + parallel-scan + async core + zone + scan world + counters + resolver caps + resolver transport + resolver serve-stale/SERVFAIL cache + cache + serving ==="
 cmake -B build-asan -S . -DEDE_SANITIZE=ON >/dev/null
 cmake --build build-asan -j "$JOBS" --target test_robustness test_chaos \
   test_malformed_corpus test_parallel_scan test_async_core test_name \
   test_wire test_rdata test_message test_codec_golden test_stream \
   test_stream_scenarios test_truncation test_zone test_scan_world \
   test_counters test_resolver test_cache test_serve
-ctest --test-dir build-asan --output-on-failure -R 'Robust|Chaos|Malformed|Parallel|ScanMerge|PlanShards|ScannerInflight|Name|Wire|Rdata|DecodeRdata|Presentation|TypeBitmap|Message|CodecGolden|Stream|Framing|Truncation|EventScheduler|RetryPolicy|CoalesceKey|AsyncCore|Zone|SignedZone|ScanWorldFixture|Counters|ResolverLimits|ResolverTransport|Cache|PopularitySketch|FrontEnd'
+ctest --test-dir build-asan --output-on-failure -R 'Robust|Chaos|Malformed|Parallel|ScanMerge|PlanShards|ScannerInflight|Name|Wire|Rdata|DecodeRdata|Presentation|TypeBitmap|Message|CodecGolden|Stream|Framing|Truncation|EventScheduler|RetryPolicy|CoalesceKey|AsyncCore|Zone|SignedZone|ScanWorldFixture|Counters|ResolverLimits|ResolverTransport|ResolverTest|Cache|PopularitySketch|FrontEnd'
 
 echo "=== [5/13] TSan build: parallel-scan + async-core suites ==="
 cmake -B build-tsan -S . -DEDE_TSAN=ON >/dev/null
