@@ -11,7 +11,9 @@
 #include <cstdio>
 #include <set>
 
+#include "edns/ede.hpp"
 #include "scan/scanner.hpp"
+#include "scan/world.hpp"
 #include "testbed/expected.hpp"
 #include "testbed/testbed.hpp"
 

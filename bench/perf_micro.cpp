@@ -7,10 +7,14 @@
 #include "crypto/sha1.hpp"
 #include "dnscore/arena.hpp"
 #include "crypto/sha2.hpp"
+#include "dnscore/wire.hpp"
 #include "dnssec/nsec3.hpp"
 #include "dnssec/sign.hpp"
+#include "edns/ede.hpp"
 #include "edns/edns.hpp"
+#include "resolver/infra_cache.hpp"
 #include "scan/scanner.hpp"
+#include "scan/world.hpp"
 #include "testbed/testbed.hpp"
 
 namespace {

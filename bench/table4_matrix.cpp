@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <set>
 
+#include "resolver/resolver.hpp"
 #include "testbed/expected.hpp"
 #include "testbed/testbed.hpp"
 

@@ -13,6 +13,7 @@
 #include <map>
 #include <set>
 
+#include "edns/ede.hpp"
 #include "testbed/testbed.hpp"
 
 namespace {

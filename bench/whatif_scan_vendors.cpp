@@ -9,6 +9,7 @@
 #include <cstdlib>
 
 #include "scan/report.hpp"
+#include "scan/world.hpp"
 
 int main(int argc, char** argv) {
   ede::scan::PopulationConfig config;

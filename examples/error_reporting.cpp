@@ -7,6 +7,8 @@
 //   $ ./error_reporting
 #include <cstdio>
 
+#include "resolver/resolver.hpp"
+#include "server/auth_server.hpp"
 #include "server/report_agent.hpp"
 #include "testbed/mutations.hpp"
 #include "testbed/testbed.hpp"

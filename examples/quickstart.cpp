@@ -5,6 +5,7 @@
 #include <cstdio>
 
 #include "dnscore/message.hpp"
+#include "edns/ede.hpp"
 #include "edns/edns.hpp"
 
 int main() {

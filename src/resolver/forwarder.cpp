@@ -73,13 +73,11 @@ dns::Message Forwarder::handle(const dns::Message& query) {
       e.dnssec_ok = true;
       edns::set_edns(upstream_query, e);
 
-      // Deferred send + an explicit wait for the round trip: same clock
-      // arithmetic as the blocking send(), via the primitive the async
-      // resolver core uses (the forwarder is not itself multiplexed, so
-      // waiting out the RTT inline is fine here).
-      const auto sent = network_->send_deferred(
-          source_, upstream, arena_.serialize(upstream_query),
-          /*retransmission=*/attempt > 0);
+      // send() charges no time; the forwarder is not multiplexed, so it
+      // waits out the round trip inline.
+      const auto sent = network_->send(source_, upstream,
+                                       arena_.serialize(upstream_query),
+                                       /*retransmission=*/attempt > 0);
       if (sent.status != sim::SendStatus::Timeout) {
         network_->wait_ms(sent.rtt_ms);
       }

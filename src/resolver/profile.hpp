@@ -74,8 +74,7 @@ struct ResolverProfile {
   bool emit_extra_text = false;
   /// Knot's "LSLC: unsupported digest/key" style fixed texts per defect.
   std::map<dnssec::Defect, std::string> fixed_extra_text;
-  /// Calibrated transport retry/backoff defaults (see retry.hpp); a
-  /// ResolverOptions::retry override wins over this.
+  /// Calibrated transport retry/backoff defaults (see retry.hpp).
   RetryPolicy retry;
   /// How this vendor handles EDNS-hostile authorities (DESIGN.md §5i).
   EdnsDancePolicy edns_dance;

@@ -133,7 +133,6 @@ RecursiveResolver::RecursiveResolver(std::shared_ptr<sim::Network> network,
       trust_anchor_(std::move(trust_anchor)),
       options_(options),
       cache_(options.cache),
-      retry_(options.retry.value_or(profile_.retry)),
       infra_(options.infra) {}
 
 void RecursiveResolver::flush() {
@@ -259,7 +258,7 @@ sim::Task<RecursiveResolver::QueryResult> RecursiveResolver::query_servers(
     }
 
     std::optional<dns::Message> received;
-    std::uint32_t timeout_ms = retry_.initial_timeout_ms;
+    std::uint32_t timeout_ms = profile_.retry.initial_timeout_ms;
     bool sent_once = false;
 
     // ---- EDNS probe-and-fallback state (RFC 6891 §6.2.2) -------------
@@ -282,8 +281,8 @@ sim::Task<RecursiveResolver::QueryResult> RecursiveResolver::query_servers(
     // exponentially (capped). A TC-triggered DoTCP fallback does not
     // consume a UDP attempt (it runs on its own tcp_* budget), mirroring
     // the old three-attempt loop's special case.
-    for (int attempt = 0;
-         attempt < retry_.attempts_per_server && !received.has_value();) {
+    for (int attempt = 0; attempt < profile_.retry.attempts_per_server &&
+                          !received.has_value();) {
       if (ctx.budget.attempts_left <= 0 ||
           network_->clock().now_ms() >= ctx.budget.deadline_ms) {
         // Watchdog: the per-resolution budget is exhausted, so stop
@@ -307,13 +306,13 @@ sim::Task<RecursiveResolver::QueryResult> RecursiveResolver::query_servers(
 
       ++result.queries;
       --ctx.budget.attempts_left;
-      // Deferred send: the exchange is decided at the send instant (fault
-      // windows, mutators, jitter draw) but the round trip is charged by
-      // parking this coroutine — other in-flight resolutions run while
-      // this one waits out its RTT.
-      const auto sent = network_->send_deferred(profile_.source, server,
-                                                arena_.serialize(query),
-                                                /*retransmission=*/sent_once);
+      // The exchange is decided at the send instant (fault windows,
+      // mutators, jitter draw); the round trip is charged by parking this
+      // coroutine — other in-flight resolutions run while this one waits
+      // out its RTT.
+      const auto sent = network_->send(profile_.source, server,
+                                       arena_.serialize(query),
+                                       /*retransmission=*/sent_once);
       sent_once = true;
       if (sent.status != sim::SendStatus::Timeout) {
         co_await park(ctx, sent.rtt_ms);
@@ -344,7 +343,7 @@ sim::Task<RecursiveResolver::QueryResult> RecursiveResolver::query_servers(
           use_edns = false;
           note_plain_dns(ctx, server);
         }
-        timeout_ms = retry_.next_timeout(timeout_ms);
+        timeout_ms = profile_.retry.next_timeout(timeout_ms);
         ++attempt;
         continue;
       }
@@ -373,7 +372,7 @@ sim::Task<RecursiveResolver::QueryResult> RecursiveResolver::query_servers(
                     server.to_string() +
                         ":53 sent an oversized response for " + query_desc);
         co_await park(ctx, timeout_ms);
-        timeout_ms = retry_.next_timeout(timeout_ms);
+        timeout_ms = profile_.retry.next_timeout(timeout_ms);
         ++attempt;
         continue;
       }
@@ -386,7 +385,7 @@ sim::Task<RecursiveResolver::QueryResult> RecursiveResolver::query_servers(
                     server.to_string() +
                         ":53 sent an unparsable response for " + query_desc);
         co_await park(ctx, timeout_ms);
-        timeout_ms = retry_.next_timeout(timeout_ms);
+        timeout_ms = profile_.retry.next_timeout(timeout_ms);
         ++attempt;
         continue;
       }
@@ -395,7 +394,7 @@ sim::Task<RecursiveResolver::QueryResult> RecursiveResolver::query_servers(
         // reflected query): discard and retry, like a dropped reply.
         ++hardening_.rejected_qid_mismatch;
         co_await park(ctx, timeout_ms);
-        timeout_ms = retry_.next_timeout(timeout_ms);
+        timeout_ms = profile_.retry.next_timeout(timeout_ms);
         ++attempt;
         continue;
       }
@@ -464,7 +463,7 @@ sim::Task<RecursiveResolver::QueryResult> RecursiveResolver::query_servers(
                     "Mismatched question from the authoritative server " +
                         server.to_string());
         co_await park(ctx, timeout_ms);
-        timeout_ms = retry_.next_timeout(timeout_ms);
+        timeout_ms = profile_.retry.next_timeout(timeout_ms);
         ++attempt;
         continue;
       }
@@ -568,7 +567,7 @@ sim::Task<std::optional<dns::Message>> RecursiveResolver::query_over_stream(
       qname.to_string() + " " + dns::to_string(qtype);
   using Status = sim::StreamTransport::Status;
 
-  for (int attempt = 0; attempt < retry_.tcp_attempts; ++attempt) {
+  for (int attempt = 0; attempt < profile_.retry.tcp_attempts; ++attempt) {
     if (ctx.budget.attempts_left <= 0 ||
         network_->clock().now_ms() >= ctx.budget.deadline_ms) {
       ++hardening_.watchdog_trips;
@@ -602,7 +601,7 @@ sim::Task<std::optional<dns::Message>> RecursiveResolver::query_over_stream(
       ++hardening_.tcp_connect_failures;
       // An RST arrives promptly; a swallowed SYN burns the whole
       // handshake timer first.
-      if (!refused) co_await park(ctx, retry_.tcp_connect_timeout_ms);
+      if (!refused) co_await park(ctx, profile_.retry.tcp_connect_timeout_ms);
       infra_.report_failure(server,
                             refused ? InfraCache::FailureKind::Unreachable
                                     : InfraCache::FailureKind::Timeout,
@@ -626,7 +625,7 @@ sim::Task<std::optional<dns::Message>> RecursiveResolver::query_over_stream(
 
     if (reply.status == Status::Stalled) {
       // Accept-then-stall: the read timer runs out with zero bytes.
-      co_await park(ctx, retry_.tcp_read_timeout_ms);
+      co_await park(ctx, profile_.retry.tcp_read_timeout_ms);
       stream_failed("stalled after accepting the query");
       continue;
     }
@@ -642,7 +641,7 @@ sim::Task<std::optional<dns::Message>> RecursiveResolver::query_over_stream(
       } else {
         // An over-declared length prefix: the frame never completes, so
         // the read timer runs out with a partial buffer.
-        co_await park(ctx, retry_.tcp_read_timeout_ms);
+        co_await park(ctx, profile_.retry.tcp_read_timeout_ms);
         stream_failed("never completed the response frame");
       }
       continue;

@@ -72,8 +72,6 @@ struct ResolverOptions {
   /// NSEC3 ranges synthesize NXDOMAIN locally, flagged with the
   /// Synthesized finding (EDE 29 under the reference profile).
   bool aggressive_nsec_caching = false;
-  /// Override the vendor profile's calibrated retry/backoff policy.
-  std::optional<RetryPolicy> retry;
   /// EDNS UDP payload size advertised upstream (RFC 6891). 1232 is the
   /// DNS-flag-day default; the EDNS buffer-size sweep cases lower it to
   /// 512 (forcing DoTCP on any signed answer) or raise it to 4096
@@ -263,7 +261,9 @@ class RecursiveResolver {
   [[nodiscard]] Cache& cache() { return cache_; }
   [[nodiscard]] InfraCache& infra() { return infra_; }
   [[nodiscard]] const InfraCache& infra() const { return infra_; }
-  [[nodiscard]] const RetryPolicy& retry_policy() const { return retry_; }
+  [[nodiscard]] const RetryPolicy& retry_policy() const {
+    return profile_.retry;
+  }
   [[nodiscard]] const sim::Network& network() const { return *network_; }
   [[nodiscard]] const ResolverProfile& profile() const { return profile_; }
   [[nodiscard]] const ResolverOptions& options() const { return options_; }
@@ -423,7 +423,6 @@ class RecursiveResolver {
   dns::DnskeyRdata trust_anchor_;
   ResolverOptions options_;
   Cache cache_;
-  RetryPolicy retry_;
   InfraCache infra_;
 
   std::optional<std::vector<dns::DnskeyRdata>> root_keys_;

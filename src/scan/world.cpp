@@ -165,8 +165,7 @@ class TldAuthority {
   [[nodiscard]] const zone::ZoneKeys& keys() const { return keys_; }
 
   [[nodiscard]] std::optional<crypto::Bytes> handle(
-      crypto::BytesView wire, const sim::PacketContext& ctx,
-      bool over_stream = false) const {
+      crypto::BytesView wire, const sim::PacketContext& ctx) const {
     if (!arena_.parse(wire)) return std::nullopt;
     const dns::Message& query = arena_.message();
     if (query.question.empty()) return std::nullopt;
@@ -180,8 +179,7 @@ class TldAuthority {
       domain = world_->lookup(name);
     }
     if (domain == nullptr) {
-      return arena_.serialize_copy(
-          apex_server_.handle(query, ctx, over_stream));
+      return arena_.serialize_copy(apex_server_.handle(query, ctx));
     }
     return arena_.serialize_copy(referral(query, *domain));
   }
@@ -314,8 +312,7 @@ class ProviderServer {
       : world_(world), population_(population) {}
 
   [[nodiscard]] std::optional<crypto::Bytes> handle(
-      crypto::BytesView wire, const sim::PacketContext& ctx,
-      bool over_stream = false) {
+      crypto::BytesView wire, const sim::PacketContext& ctx) {
     if (!arena_.parse(wire)) return std::nullopt;
     const dns::Message& query = arena_.message();
     if (query.question.empty()) return std::nullopt;
@@ -333,8 +330,7 @@ class ProviderServer {
       refused.header.rcode = dns::RCode::REFUSED;
       return arena_.serialize_copy(refused);
     }
-    return arena_.serialize_copy(
-        server_for(*domain).handle(query, ctx, over_stream));
+    return arena_.serialize_copy(server_for(*domain).handle(query, ctx));
   }
 
   [[nodiscard]] std::size_t builds() const { return builds_; }
@@ -428,14 +424,14 @@ std::size_t ScanWorld::dead_provider_count() const { return dead_providers_; }
 
 void ScanWorld::build() {
   // One registration point for every authority address: UDP always, plus
-  // a DoTCP stream listener when the world is configured with them
-  // (serving worlds; the wild scan stays UDP-only). The factory is called
-  // with over_stream so the stream side serves untruncated responses.
+  // the same endpoint as a DoTCP stream listener when the world is
+  // configured with them (serving worlds; the wild scan stays UDP-only).
+  // The endpoint reads the transport from its PacketContext.
   const auto attach_authority = [this](const sim::NodeAddress& address,
-                                       auto make_endpoint) {
+                                       const sim::Endpoint& endpoint) {
     if (world_options_.stream_listeners)
-      network_->stream().listen(address, make_endpoint(true));
-    network_->attach(address, make_endpoint(false));
+      network_->stream().listen(address, endpoint);
+    network_->attach(address, endpoint);
   };
 
   const dns::Name root_name;
@@ -470,11 +466,9 @@ void ScanWorld::build() {
     }
 
     auto authority = std::make_shared<TldAuthority>(this, apex, keys);
-    attach_authority(address, [authority](bool over_stream) -> sim::Endpoint {
-      return [authority, over_stream](crypto::BytesView wire,
-                                      const sim::PacketContext& ctx) {
-        return authority->handle(wire, ctx, over_stream);
-      };
+    attach_authority(address, [authority](crypto::BytesView wire,
+                                          const sim::PacketContext& ctx) {
+      return authority->handle(wire, ctx);
     });
     keep_alive_.push_back(authority);
   }
@@ -483,22 +477,17 @@ void ScanWorld::build() {
   auto root_server = std::make_shared<server::AuthServer>();
   root_server->add_zone(root_zone);
   attach_authority(sim::NodeAddress::of(kRootServerAddr),
-                   [&root_server](bool over_stream) {
-                     return over_stream ? root_server->stream_endpoint()
-                                        : root_server->endpoint();
-                   });
+                   root_server->endpoint());
   keep_alive_.push_back(root_server);
   root_servers_ = {sim::NodeAddress::of(kRootServerAddr)};
 
   // Provider pools.
   healthy_provider_ = std::make_shared<ProviderServer>(this, population_);
-  const auto healthy_endpoint = [healthy = healthy_provider_](
-                                    bool over_stream) -> sim::Endpoint {
-    return [healthy, over_stream](crypto::BytesView wire,
-                                  const sim::PacketContext& ctx) {
-      return healthy->handle(wire, ctx, over_stream);
-    };
-  };
+  const sim::Endpoint healthy_endpoint =
+      [healthy = healthy_provider_](crypto::BytesView wire,
+                                    const sim::PacketContext& ctx) {
+        return healthy->handle(wire, ctx);
+      };
 
   server::ServerConfig refused_config;
   refused_config.fixed_rcode = dns::RCode::REFUSED;
@@ -512,17 +501,12 @@ void ScanWorld::build() {
   for (std::uint32_t slot = 0; slot < kProviderSlots; ++slot) {
     attach_authority(provider_address(ServingPlan::Pool::Healthy, slot),
                      healthy_endpoint);
-    const auto server_endpoint = [](const auto& server) {
-      return [&server](bool over_stream) {
-        return over_stream ? server->stream_endpoint() : server->endpoint();
-      };
-    };
     attach_authority(provider_address(ServingPlan::Pool::Refused, slot),
-                     server_endpoint(refused));
+                     refused->endpoint());
     attach_authority(provider_address(ServingPlan::Pool::NotAuth, slot),
-                     server_endpoint(notauth));
+                     notauth->endpoint());
     attach_authority(provider_address(ServingPlan::Pool::Mangle, slot),
-                     server_endpoint(refused));
+                     refused->endpoint());
     // Timeout and Unroutable pools are deliberately left unattached.
   }
   // The Mangle pool is a question-rewriting middlebox in front of a

@@ -15,6 +15,8 @@ namespace {
 
 constexpr sim::SimTimeMs kUnanswered =
     std::numeric_limits<sim::SimTimeMs>::max();
+/// Minimum decayed sketch estimate for a name to earn a refresh.
+constexpr std::uint32_t kPrefetchMinPopularity = 4;
 /// Prefetch cap per wave, so a mass expiry cannot starve client traffic.
 constexpr std::size_t kPrefetchMaxPerWave = 128;
 
@@ -39,8 +41,7 @@ FrontEnd::FrontEnd(resolver::RecursiveResolver& resolver,
                    sim::Network& network, FrontEndOptions options)
     : resolver_(resolver),
       network_(network),
-      options_(options),
-      sketch_(options.sketch) {
+      options_(options) {
   options_.inflight = std::max<std::size_t>(1, options_.inflight);
   options_.wave_ms = std::max<sim::SimTimeMs>(1, options_.wave_ms);
 }
@@ -76,7 +77,7 @@ void FrontEnd::run_prefetch(sim::SimTimeMs epoch) {
   const sim::SimTime now = network_.clock().now();
   const auto jobs = rank_prefetch(
       cache.expiring_within(FrontEndOptions::prefetch_horizon_ms, now),
-      sketch_, options_.prefetch_min_popularity, kPrefetchMaxPerWave);
+      sketch_, kPrefetchMinPopularity, kPrefetchMaxPerWave);
   if (jobs.empty()) return;
 
   std::uint64_t upstream = 0;

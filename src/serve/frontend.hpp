@@ -35,9 +35,6 @@ struct FrontEndOptions {
   bool prefetch = true;
   /// Refresh records expiring within this horizon of the wave epoch.
   static constexpr sim::SimTimeMs prefetch_horizon_ms = 30'000;
-  /// Minimum decayed sketch estimate for a name to earn a refresh.
-  std::uint32_t prefetch_min_popularity = 4;
-  PopularitySketch::Options sketch;
 };
 
 /// What one stub query got back; indexed like StubTrace::queries.

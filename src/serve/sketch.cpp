@@ -13,6 +13,8 @@ constexpr std::uint32_t kRows = 4;
 /// Cells per row; a power of two, so a cell index is a mask away.
 constexpr std::uint32_t kCols = 8'192;
 static_assert((kCols & (kCols - 1)) == 0);
+/// Serving ticks between halvings (the decay half-life, in waves).
+constexpr std::uint32_t kDecayInterval = 64;
 
 /// The kRows cell indexes of `name`. Name::hash() is case-insensitive FNV
 /// over the wire bytes, taken once; one splitmix64 round per row turns it
@@ -31,11 +33,7 @@ std::array<std::size_t, kRows> cells_of(const dns::Name& name) {
 
 }  // namespace
 
-PopularitySketch::PopularitySketch() : PopularitySketch(Options{}) {}
-
-PopularitySketch::PopularitySketch(Options options) : options_(options) {
-  options_.decay_interval =
-      std::max<std::uint32_t>(1, options_.decay_interval);
+PopularitySketch::PopularitySketch() {
   cells_.assign(std::size_t{kRows} * kCols, 0);
 }
 
@@ -60,7 +58,7 @@ std::uint32_t PopularitySketch::estimate(const dns::Name& name) const {
 }
 
 void PopularitySketch::tick() {
-  if (++tick_count_ % options_.decay_interval != 0) return;
+  if (++tick_count_ % kDecayInterval != 0) return;
   for (auto& c : cells_) c >>= 1;
 }
 

@@ -2,12 +2,12 @@
 // prefetcher (DESIGN.md §5h).
 //
 // A count-min sketch with conservative update, whose cells are halved
-// every `decay_interval` serving ticks: "popular" means popular
-// *recently*, so a name that stops being queried stops being refreshed
-// after a few decay periods instead of being prefetched forever. Fixed
-// memory (rows × cols counters) regardless of how many distinct names the
-// stub population queries, which is the point of a sketch at
-// hundreds-of-thousands-of-clients scale.
+// every 64 serving ticks (the decay half-life, in waves): "popular"
+// means popular *recently*, so a name that stops being queried stops
+// being refreshed after a few decay periods instead of being prefetched
+// forever. Fixed memory (rows × cols counters) regardless of how many
+// distinct names the stub population queries, which is the point of a
+// sketch at hundreds-of-thousands-of-clients scale.
 #pragma once
 
 #include <cstdint>
@@ -19,13 +19,7 @@ namespace ede::serve {
 
 class PopularitySketch {
  public:
-  struct Options {
-    /// Serving ticks between halvings (the decay half-life, in waves).
-    std::uint32_t decay_interval = 64;
-  };
-
   PopularitySketch();
-  explicit PopularitySketch(Options options);
 
   /// Count one query for `name` (conservative update: only the minimal
   /// cells grow, which tightens over-estimates under hash collisions).
@@ -34,11 +28,10 @@ class PopularitySketch {
   /// Upper-bound estimate of the (decayed) query count for `name`.
   [[nodiscard]] std::uint32_t estimate(const dns::Name& name) const;
 
-  /// One serving tick; every `decay_interval` ticks all cells halve.
+  /// One serving tick; every 64th tick all cells halve.
   void tick();
 
  private:
-  Options options_;
   std::uint32_t tick_count_ = 0;
   std::vector<std::uint32_t> cells_;  // rows × cols, row-major
 };

@@ -41,7 +41,7 @@ StubTrace generate_stub_trace(const scan::Population& population,
   };
 
   trace.queries.reserve(
-      std::size_t{options.queries} * (1 + options.max_retries));
+      std::size_t{options.queries} * (1 + kMaxRetries));
   std::uint32_t next_id = 0;
   for (std::uint32_t q = 0; q < options.queries; ++q) {
     StubQuery query;
@@ -65,10 +65,10 @@ StubTrace generate_stub_trace(const scan::Population& population,
     trace.queries.push_back(query);
     // Potential retransmits: emitted unconditionally into the trace,
     // suppressed at serve time if the original had been answered by then.
-    for (std::uint32_t r = 1; r <= options.max_retries; ++r) {
+    for (std::uint32_t r = 1; r <= kMaxRetries; ++r) {
       StubQuery retry = query;
       retry.arrival_ms =
-          query.arrival_ms + sim::SimTimeMs{options.retry_timeout_ms} * r;
+          query.arrival_ms + sim::SimTimeMs{kRetryTimeoutMs} * r;
       retry.id = next_id++;
       retry.retry_of = primary_id;
       trace.queries.push_back(std::move(retry));

@@ -23,6 +23,10 @@ namespace ede::serve {
 /// Zipf popularity exponent over the domain population, most-popular
 /// first (1.0 is the classic web-traffic fit).
 inline constexpr double kZipfExponent = 1.0;
+/// Per-client retransmit timer and cap: a stub that has not heard back
+/// after this long asks again (RFC 1035 §4.2.1 client behavior).
+inline constexpr std::uint32_t kRetryTimeoutMs = 3'000;
+inline constexpr std::uint32_t kMaxRetries = 1;
 
 struct StubOptions {
   /// Modeled stub clients behind this resolver (hundreds of thousands per
@@ -36,10 +40,6 @@ struct StubOptions {
   /// (Zipf-sampled) domain — the typo traffic RFC 8198 aggressive
   /// negative caching feeds on.
   double nxdomain_fraction = 0.10;
-  /// Per-client retransmit timer and cap: a stub that has not heard back
-  /// after this long asks again (RFC 1035 §4.2.1 client behavior).
-  std::uint32_t retry_timeout_ms = 3'000;
-  std::uint32_t max_retries = 1;
   std::uint64_t seed = 42;
 };
 

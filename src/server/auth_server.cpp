@@ -114,8 +114,7 @@ const zone::Zone* AuthServer::zone_for(const dns::Name& qname) const {
 }
 
 dns::Message AuthServer::handle(const dns::Message& query,
-                                const sim::PacketContext& ctx,
-                                bool over_stream) const {
+                                const sim::PacketContext& ctx) const {
   dns::Message response;
   response.header.id = query.header.id;
   response.header.qr = true;
@@ -147,7 +146,7 @@ dns::Message AuthServer::handle(const dns::Message& query,
     // well-formed (if useless) DNS message the client can parse before
     // retrying over TCP. A stream has no size limit (RFC 7766 §8): the
     // two-byte length prefix frames anything the codec can serialize.
-    if (over_stream) return response;
+    if (ctx.over_stream) return response;
     const std::uint16_t advertised =
         !edns.has_value()
             ? std::uint16_t{512}
@@ -435,17 +434,6 @@ sim::Endpoint AuthServer::endpoint() const {
                 const sim::PacketContext& ctx) -> std::optional<crypto::Bytes> {
     if (!arena_.parse(wire)) return std::nullopt;  // unparsable packets vanish
     return arena_.serialize_copy(handle(arena_.message(), ctx));
-  };
-}
-
-sim::Endpoint AuthServer::stream_endpoint() const {
-  return [this](crypto::BytesView wire,
-                const sim::PacketContext& ctx) -> std::optional<crypto::Bytes> {
-    // Unparsable queries close the connection (the transport maps a
-    // swallowed reply to a stream close, unlike the datagram's silence).
-    if (!arena_.parse(wire)) return std::nullopt;
-    return arena_.serialize_copy(
-        handle(arena_.message(), ctx, /*over_stream=*/true));
   };
 }
 

@@ -51,23 +51,18 @@ class AuthServer {
   [[nodiscard]] const ServerConfig& config() const { return config_; }
   [[nodiscard]] ServerConfig& config() { return config_; }
 
-  /// Handle a parsed query (exposed for direct unit testing).
-  /// `over_stream` disables the UDP size limit entirely: a stream carries
-  /// any message the two-byte length prefix can frame, so the TC bit is
-  /// never set there (RFC 7766 §8).
+  /// Handle a parsed query (exposed for direct unit testing). A query
+  /// that arrived over a stream (`ctx.over_stream`) is never truncated: a
+  /// stream carries any message the two-byte length prefix can frame, so
+  /// the TC bit is never set there (RFC 7766 §8).
   [[nodiscard]] dns::Message handle(const dns::Message& query,
-                                    const sim::PacketContext& ctx,
-                                    bool over_stream) const;
-  [[nodiscard]] dns::Message handle(const dns::Message& query,
-                                    const sim::PacketContext& ctx) const {
-    return handle(query, ctx, /*over_stream=*/false);
-  }
+                                    const sim::PacketContext& ctx) const;
 
-  /// Wire-level entry point for Network::attach.
+  /// Wire-level entry point for both transports: hand the same endpoint
+  /// to Network::attach and StreamTransport::listen. An unparsable query
+  /// gets no reply, which the datagram side reads as silence and the
+  /// stream side as a closed connection.
   [[nodiscard]] sim::Endpoint endpoint() const;
-  /// Wire-level entry point for StreamTransport::listen: same lookup
-  /// logic, no truncation.
-  [[nodiscard]] sim::Endpoint stream_endpoint() const;
 
  private:
   [[nodiscard]] const zone::Zone* zone_for(const dns::Name& qname) const;

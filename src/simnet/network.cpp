@@ -61,17 +61,9 @@ void Network::set_latency(const LatencyModel& model) {
   stream_->set_latency(model);
 }
 
-void Network::set_link_rtt(const NodeAddress& address,
-                           std::uint32_t base_rtt_ms) {
-  link_rtts_[address] = base_rtt_ms;
-}
-
-std::uint32_t Network::link_rtt(const NodeAddress& destination) {
+std::uint32_t Network::link_rtt() {
   if (!latency_.enabled) return 0;
   std::uint32_t base = latency_.base_rtt_ms;
-  if (const auto it = link_rtts_.find(destination); it != link_rtts_.end()) {
-    base = it->second;
-  }
   if (latency_.jitter_ms > 0) {
     base += static_cast<std::uint32_t>(rng_.below(latency_.jitter_ms + 1));
   }
@@ -81,43 +73,26 @@ std::uint32_t Network::link_rtt(const NodeAddress& destination) {
 SendResult Network::send(const NodeAddress& source,
                          const NodeAddress& destination,
                          crypto::BytesView query, bool retransmission) {
-  if (!tap_) {
-    return send_impl(source, destination, query, retransmission,
-                     /*advance_clock=*/true);
-  }
-  SendResult result = send_impl(source, destination, query, retransmission,
-                                /*advance_clock=*/true);
-  tap_(query, result);
-  return result;
-}
-
-SendResult Network::send_deferred(const NodeAddress& source,
-                                  const NodeAddress& destination,
-                                  crypto::BytesView query,
-                                  bool retransmission) {
-  SendResult result = send_impl(source, destination, query, retransmission,
-                                /*advance_clock=*/false);
+  SendResult result = send_impl(source, destination, query, retransmission);
   if (tap_) tap_(query, result);
   return result;
 }
 
 SendResult Network::send_impl(const NodeAddress& source,
                               const NodeAddress& destination,
-                              crypto::BytesView query, bool retransmission,
-                              bool advance_clock) {
+                              crypto::BytesView query, bool retransmission) {
   ++stats_.packets_sent;
   if (retransmission) ++stats_.retransmits;
   if (record_sends_ && send_log_.size() < kMaxSendLog) {
     send_log_.push_back({clock_->now_ms(), destination, retransmission});
   }
 
-  // The cost of one round trip on this link, charged to the shared clock
-  // whenever the sender hears back (replies, ICMP unreachable, REFUSED).
-  // Silent drops charge nothing here: the sender's own retry timeout is
-  // what elapses, via wait_ms().
-  std::uint32_t rtt = link_rtt(destination);
+  // The cost of one round trip on this link, reported whenever the sender
+  // hears back (replies, ICMP unreachable, REFUSED) for the sender to wait
+  // out. Silent drops report nothing: the sender's own retry timeout is
+  // what elapses.
+  std::uint32_t rtt = link_rtt();
   const auto reply = [&](SendStatus status, crypto::Bytes bytes) {
-    if (advance_clock && latency_.enabled) clock_->advance_ms(rtt);
     return SendResult{status, std::move(bytes), rtt};
   };
   const auto drop = [&]() {

@@ -10,9 +10,9 @@
 // delegations reproduce.
 //
 // The transport can additionally be made adversarial: a seeded latency
-// model (per-link base RTT + jitter) that advances the shared Clock, and
-// per-address fault injection covering hard timeouts, parity loss,
-// probabilistic loss, fragment loss and scripted outage windows
+// model (base RTT + jitter, which the sender waits out on the shared
+// Clock), and per-address fault injection covering hard timeouts, parity
+// loss, probabilistic loss, fragment loss and scripted outage windows
 // (fail_between) so servers can die and recover on the simulated
 // timeline. A Fault decides whether a reply arrives; what an arriving
 // reply says is rewritten only by a ResponseMutator (simnet/byzantine.hpp).
@@ -32,9 +32,12 @@
 
 namespace ede::sim {
 
-/// Context visible to an endpoint handling a packet (for ACL decisions).
+/// Context visible to an endpoint handling a packet: the sender (for ACL
+/// decisions) and the transport it arrived on. One endpoint serves both
+/// transports; a stream reply is never truncated (RFC 7766 §8).
 struct PacketContext {
   NodeAddress source;
+  bool over_stream = false;
 };
 
 /// An attached node: receives query bytes, returns response bytes.
@@ -46,9 +49,9 @@ using Endpoint =
 /// Per-exchange context handed to a ResponseMutator.
 struct MutateContext {
   SimTime now = 0;  // simulated seconds when the response leaves the server
-  /// Out-parameters the mutator may set. `extra_delay_ms` charges extra
-  /// serialization time on delivery (slow-drip answers); it only advances
-  /// the clock when the latency model is enabled, like link RTTs.
+  /// Out-parameters the mutator may set. `extra_delay_ms` adds extra
+  /// serialization time to the exchange's round trip (slow-drip answers);
+  /// like a link RTT it only costs time when the latency model is enabled.
   /// `mutated` marks the exchange as actually tampered with (a mutator may
   /// decide to pass a response through untouched) for Network::Stats.
   std::uint32_t extra_delay_ms = 0;
@@ -73,9 +76,10 @@ enum class SendStatus {
 struct SendResult {
   SendStatus status = SendStatus::Timeout;
   crypto::Bytes response;
-  /// Simulated round-trip time of this exchange. Zero when the latency
-  /// model is disabled; on Timeout the caller decides how long it waited
-  /// (see Network::wait_ms) so nothing is charged here.
+  /// Simulated round-trip time of this exchange, for the caller to wait
+  /// out (Network::send charges no time). Zero when the latency model is
+  /// disabled and on Timeout, where the caller's own retry timer is what
+  /// elapses.
   std::uint32_t rtt_ms = 0;
 };
 
@@ -131,13 +135,13 @@ struct Fault {
   }
 };
 
-/// Seeded per-link latency. Disabled by default: the bulk-scan experiments
+/// Seeded link latency. Disabled by default: the bulk-scan experiments
 /// depend on an instantaneous transport (prewarmed cache entries with
 /// 30-second TTLs would expire mid-scan otherwise). Chaos tests and
 /// latency-sensitive benchmarks switch it on explicitly.
 struct LatencyModel {
   bool enabled = false;
-  std::uint32_t base_rtt_ms = 20;  // default per-link round trip
+  std::uint32_t base_rtt_ms = 20;  // round trip on every link
   std::uint32_t jitter_ms = 8;     // uniform extra in [0, jitter_ms]
   std::uint64_t seed = 0x1ede;     // drives jitter and loss
 };
@@ -153,8 +157,6 @@ class Network {
   /// shares the clock and the seed (salted; see simnet/stream.cpp).
   explicit Network(std::shared_ptr<Clock> clock,
                    std::uint64_t transport_seed = LatencyModel{}.seed);
-
-  [[nodiscard]] std::uint64_t transport_seed() const { return latency_.seed; }
 
   /// Attach a node. Later registrations at the same address replace
   /// earlier ones (used by failure-injection tests).
@@ -177,9 +179,10 @@ class Network {
   }
 
   /// The TCP-like stream transport sharing this network's clock and seed.
-  /// Servers listen on it via StreamTransport::listen (see
-  /// server::AuthServer::stream_endpoint), the resolver's DoTCP fallback
-  /// makes each attempt through StreamTransport::exchange.
+  /// Servers listen on it via StreamTransport::listen with the same
+  /// endpoint they attach here (PacketContext::over_stream tells the two
+  /// apart); the resolver's DoTCP fallback makes each attempt through
+  /// StreamTransport::exchange.
   [[nodiscard]] StreamTransport& stream() { return *stream_; }
   [[nodiscard]] const StreamTransport& stream() const { return *stream_; }
 
@@ -188,8 +191,6 @@ class Network {
   /// from the model's seed.
   void set_latency(const LatencyModel& model);
   [[nodiscard]] const LatencyModel& latency() const { return latency_; }
-  /// Per-link base-RTT override (e.g. an overseas authority).
-  void set_link_rtt(const NodeAddress& address, std::uint32_t base_rtt_ms);
 
   /// A sender waiting out a retry timeout. Advances the clock only when
   /// the latency model is enabled, so the instantaneous-transport
@@ -198,24 +199,16 @@ class Network {
     if (latency_.enabled) clock_->advance_ms(milliseconds);
   }
 
-  /// Send query bytes from `source` to `destination`. `retransmission`
-  /// marks a retry of an earlier query (statistics only).
+  /// Send query bytes from `source` to `destination`. The exchange is
+  /// decided at the send instant (fault windows, mutators, the jitter
+  /// draw) and charges no time: the caller waits out `SendResult::rtt_ms`
+  /// itself — the resolver parks on its scheduler, a blocking sender
+  /// calls wait_ms(). `retransmission` marks a retry of an earlier query
+  /// (statistics only).
   [[nodiscard]] SendResult send(const NodeAddress& source,
                                 const NodeAddress& destination,
                                 crypto::BytesView query,
                                 bool retransmission = false);
-
-  /// Exactly send(), except the clock is NOT advanced by the round trip:
-  /// the endpoint still runs (and faults, mutators and the jitter RNG are
-  /// consumed) at the send instant, and the caller owns charging
-  /// `SendResult::rtt_ms` — event-loop senders park on the scheduler for
-  /// that long instead of blocking the shared clock forward. A Timeout
-  /// result charges nothing either way (the caller's retry timer is what
-  /// elapses, exactly as with send()).
-  [[nodiscard]] SendResult send_deferred(const NodeAddress& source,
-                                         const NodeAddress& destination,
-                                         crypto::BytesView query,
-                                         bool retransmission = false);
 
   /// Optional wire tap observing every exchange after fault processing:
   /// exactly the bytes the sender put on the wire and what came back.
@@ -254,12 +247,11 @@ class Network {
   }
 
  private:
-  [[nodiscard]] std::uint32_t link_rtt(const NodeAddress& destination);
+  [[nodiscard]] std::uint32_t link_rtt();
   [[nodiscard]] SendResult send_impl(const NodeAddress& source,
                                      const NodeAddress& destination,
                                      crypto::BytesView query,
-                                     bool retransmission,
-                                     bool advance_clock);
+                                     bool retransmission);
 
   std::shared_ptr<Clock> clock_;
   std::shared_ptr<StreamTransport> stream_;
@@ -268,7 +260,6 @@ class Network {
   std::unordered_map<NodeAddress, ResponseMutator, NodeAddressHash> mutators_;
   std::unordered_map<NodeAddress, std::uint64_t, NodeAddressHash>
       intermittent_counters_;
-  std::unordered_map<NodeAddress, std::uint32_t, NodeAddressHash> link_rtts_;
   LatencyModel latency_;
   crypto::Xoshiro256 rng_;
   Stats stats_;

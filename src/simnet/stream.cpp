@@ -173,7 +173,8 @@ StreamTransport::Result StreamTransport::exchange(
     return {Status::Closed, {}, handshake_rtt};
   }
 
-  auto response = listener->second(inbound.frame, PacketContext{source});
+  auto response =
+      listener->second(inbound.frame, PacketContext{source, true});
   std::uint32_t rtt = link_rtt();
   if (!response) {
     // The server dropped the query; over a stream that reads as a close.

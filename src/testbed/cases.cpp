@@ -1,5 +1,9 @@
 #include "testbed/cases.hpp"
 
+#include "simnet/byzantine.hpp"
+#include "simnet/network.hpp"
+#include "simnet/stream.hpp"
+
 namespace ede::testbed {
 
 std::string group_name(int group) {
@@ -338,39 +342,50 @@ const std::vector<StreamCaseSpec>& stream_cases() {
   static const std::vector<StreamCaseSpec> cases = [] {
     std::vector<StreamCaseSpec> c;
     const auto add = [&c](StreamCaseSpec spec) { c.push_back(std::move(spec)); };
+    // The stingy UDP limit that TC-baits the big TXT answer, and one that
+    // lets it through.
+    const server::ServerConfig stingy{.udp_payload_size = 512};
+    const server::ServerConfig roomy{.udp_payload_size = 4'096};
 
     // Clean fallback: the baseline the failure cases contrast against.
     add({.label = "tc-clean-fallback",
          .description = "A 512-byte authority truncates the big TXT answer; "
-                        "the DoTCP retry delivers it intact"});
+                        "the DoTCP retry delivers it intact",
+         .serving = {.config = stingy}});
 
     // Hostile stream behaviors, every one TC-baited from the same stingy
     // UDP limit. All must degrade to SERVFAIL (EDE 22/23 where the vendor
     // can express them), never a silent NOERROR.
     add({.label = "tcp-refused",
          .description = "TC over UDP, but every TCP connection is refused",
-         .fault = StreamFault::Refuse,
+         .serving = {.config = stingy,
+                     .stream_faults = {sim::StreamBehavior::refuse()}},
          .expect_success = false});
     add({.label = "tcp-stall",
          .description = "TC over UDP; TCP accepts the query then never "
                         "sends a byte",
-         .fault = StreamFault::Stall,
+         .serving = {.config = stingy,
+                     .stream_faults = {sim::StreamBehavior::stall()}},
          .expect_success = false});
     add({.label = "tcp-midstream-close",
          .description = "TC over UDP; TCP closes after the first bytes of "
                         "the response frame",
-         .fault = StreamFault::MidClose,
+         .serving = {.config = stingy,
+                     .stream_faults = {sim::StreamBehavior::mid_close()}},
          .expect_success = false});
     add({.label = "tc-then-garbage",
          .description = "TC over UDP; the TCP response frame is garbage "
                         "(zero-length or over-declared length prefix)",
-         .fault = StreamFault::GarbageFrame,
+         .serving = {.config = stingy,
+                     .stream_faults = {sim::StreamBehavior::garbage_frame()}},
          .expect_success = false});
+    // At 1232 only the big TXT answer truncates.
     add({.label = "tc-different-answer",
          .description = "TC over UDP; TCP serves a different, unsigned "
                         "answer (validation must reject it)",
-         .server_payload_limit = 1'232,  // only the big TXT truncates
-         .fault = StreamFault::DifferentAnswer,
+         .serving = {.config = {.udp_payload_size = 1'232},
+                     .stream_rewrites =
+                         {sim::ByzantineBehavior::different_answer()}},
          .expect_success = false});
 
     // Fragmentation blackhole: no TC at all — the big answer leaves the
@@ -379,8 +394,7 @@ const std::vector<StreamCaseSpec>& stream_cases() {
     add({.label = "frag-drop-dnssec",
          .description = "A 4096-byte advertisement invites a fragmented "
                         "answer that is dropped in flight",
-         .server_payload_limit = 4'096,
-         .fault = StreamFault::FragDrop,
+         .serving = {.config = roomy, .path_fault = sim::Fault::frag_drop()},
          .resolver_payload = 4'096,
          .expect_success = false});
 
@@ -389,17 +403,17 @@ const std::vector<StreamCaseSpec>& stream_cases() {
     add({.label = "edns-512",
          .description = "Resolver advertises 512: every signed answer "
                         "truncates and falls back to TCP",
-         .server_payload_limit = 4'096,
+         .serving = {.config = roomy},
          .resolver_payload = 512});
     add({.label = "edns-1232",
          .description = "Resolver advertises 1232: the big TXT answer "
                         "still truncates and falls back to TCP",
-         .server_payload_limit = 4'096,
+         .serving = {.config = roomy},
          .resolver_payload = 1'232});
     add({.label = "edns-4096",
          .description = "Resolver advertises 4096: the big TXT answer "
                         "fits over UDP, no fallback",
-         .server_payload_limit = 4'096,
+         .serving = {.config = roomy},
          .resolver_payload = 4'096});
 
     return c;
@@ -411,6 +425,11 @@ const std::vector<EdnsCaseSpec>& edns_cases() {
   static const std::vector<EdnsCaseSpec> cases = [] {
     std::vector<EdnsCaseSpec> c;
     const auto add = [&c](EdnsCaseSpec spec) { c.push_back(std::move(spec)); };
+    // An authority that mishandles OPT itself does so on both transports.
+    const auto everywhere = [](sim::ByzantineBehavior behavior) {
+      return ChildServing{.datagram_rewrites = {behavior},
+                          .stream_rewrites = {behavior}};
+    };
 
     // Control: a clean EDNS authority behind a secure delegation.
     add({.label = "edns-clean",
@@ -419,42 +438,45 @@ const std::vector<EdnsCaseSpec>& edns_cases() {
 
     // The OPT-eating firewall. Timeout-driven vendors learn the verdict
     // when the attempt budget runs dry and succeed plain on re-contact;
-    // post-flag-day vendors never downgrade on silence.
+    // post-flag-day vendors never downgrade on silence. The firewall
+    // filters datagrams: a stream reaches the authority untouched.
+    const ChildServing opt_eating_firewall{
+        .datagram_rewrites = {sim::ByzantineBehavior::edns_drop()}};
     add({.label = "edns-drop",
          .description = "Authority silently drops any query carrying OPT",
-         .fault = EdnsFault::DropOptQuery});
+         .serving = opt_eating_firewall});
     add({.label = "edns-drop-signed",
          .description = "OPT-dropping authority behind a secure delegation "
                         "— the degraded plain answer cannot validate",
-         .fault = EdnsFault::DropOptQuery,
+         .serving = opt_eating_firewall,
          .signed_zone = true});
 
     // The pre-EDNS-era server (RFC 6891 §7): explicit FORMERR triggers
     // the immediate plain-DNS retry in every vendor.
     add({.label = "edns-formerr",
          .description = "Authority answers FORMERR to any EDNS query",
-         .fault = EdnsFault::FormerrOnOpt});
+         .serving = everywhere(sim::ByzantineBehavior::edns_formerr())});
     add({.label = "edns-formerr-signed",
          .description = "FORMERR-on-OPT authority behind a secure "
                         "delegation — the dance succeeds but validation "
                         "is impossible without the DO bit",
-         .fault = EdnsFault::FormerrOnOpt,
+         .serving = everywhere(sim::ByzantineBehavior::edns_formerr()),
          .signed_zone = true});
     add({.label = "edns-formerr-always",
          .description = "Authority answers FORMERR to everything — the "
                         "plain-DNS retry cannot save it",
-         .fault = EdnsFault::FormerrAlways});
+         .serving = {.config = {.fixed_rcode = dns::RCode::FORMERR}}});
 
     add({.label = "edns-badvers",
          .description = "Authority replies BADVERS even to EDNS version 0",
-         .fault = EdnsFault::Badvers});
+         .serving = everywhere(sim::ByzantineBehavior::edns_badvers())});
 
     // EDNS-oblivious rather than hostile: the answer is usable but OPT
     // (and with it every RRSIG) never comes back.
     add({.label = "edns-strip-opt",
          .description = "Authority never echoes the OPT; the signed "
                         "delegation loses its signatures",
-         .fault = EdnsFault::StripOpt,
+         .serving = everywhere(sim::ByzantineBehavior::edns_strip_opt()),
          .signed_zone = true});
 
     // Echoing unknown options back is legal-ish rubbish the resolver must
@@ -462,15 +484,16 @@ const std::vector<EdnsCaseSpec>& edns_cases() {
     add({.label = "edns-echo-options",
          .description = "Authority echoes an unregistered option back in "
                         "every response",
-         .fault = EdnsFault::EchoUnknownOption,
+         .serving = everywhere(sim::ByzantineBehavior::edns_echo_extra()),
          .signed_zone = true});
 
     // Buffer-size lie: spurious TC on an answer that fit the advertised
-    // size. The DoTCP fallback rescues the signed answer.
+    // size. Advertised sizes never go below 512, so the server truncates
+    // at 512 whatever the client offered; DoTCP rescues the signed answer.
     add({.label = "edns-buffer-lie",
          .description = "Authority truncates at 512 regardless of the "
                         "advertised size; DoTCP delivers the answer",
-         .fault = EdnsFault::BufferLie,
+         .serving = {.config = {.udp_payload_size = 512}},
          .signed_zone = true,
          .query_txt = true});
 
@@ -478,10 +501,10 @@ const std::vector<EdnsCaseSpec>& edns_cases() {
     add({.label = "edns-garble",
          .description = "Authority garbles the OPT rdata (an option header "
                         "declaring more payload than the record carries)",
-         .fault = EdnsFault::GarbleOptRdata});
+         .serving = everywhere(sim::ByzantineBehavior::edns_garble())});
     add({.label = "edns-duplicate-opt",
          .description = "Authority attaches two OPT records per response",
-         .fault = EdnsFault::DuplicateOpt});
+         .serving = everywhere(sim::ByzantineBehavior::edns_duplicate_opt())});
 
     return c;
   }();

@@ -9,6 +9,9 @@
 #include <vector>
 
 #include "server/auth_server.hpp"
+#include "simnet/byzantine.hpp"
+#include "simnet/network.hpp"
+#include "simnet/stream.hpp"
 
 namespace ede::testbed {
 
@@ -84,30 +87,37 @@ struct CaseSpec {
 /// All 63 specs in the paper's order.
 [[nodiscard]] const std::vector<CaseSpec>& all_cases();
 
-// --- the truncation / DoTCP scenario family ---------------------------
-// A separate family (not part of the 63 Table 4 cases): children whose
-// signed TXT answer is far too big for a small UDP limit, served by
-// authorities whose stream side misbehaves in the ways the DoTCP
-// measurement studies catalogue. Built only when
-// TestbedOptions::stream_family is set.
+// --- the scenario families ---------------------------------------------
+// Two families beyond the 63 Table 4 cases, each child an apex A plus a
+// ~2 KB TXT RRset on its own authority. A row names that authority's
+// hostility with the simulator's own factories: the Byzantine zoo
+// (simnet/byzantine.hpp), the stream faults (simnet/stream.hpp) and the
+// path faults (simnet/network.hpp).
 
-/// TCP/stream fault the child's authoritative server exhibits.
-enum class StreamFault {
-  None,             // honest truncation, clean DoTCP fallback
-  Refuse,           // RST every TCP connection attempt
-  Stall,            // accept the query, then never send a byte
-  MidClose,         // close after the first few response bytes
-  GarbageFrame,     // hostile length-prefix framing
-  DifferentAnswer,  // forged unsigned answer served over the stream
-  FragDrop,         // big UDP answers fragment in flight and vanish
+/// How a scenario child's authority is served: its configuration, and
+/// what is installed at its address on either transport.
+struct ChildServing {
+  server::ServerConfig config;
+  /// Rewrites of datagram replies (Network::set_mutator).
+  std::vector<sim::ByzantineBehavior> datagram_rewrites;
+  /// Rewrites of stream replies (StreamTransport::set_mutator).
+  std::vector<sim::ByzantineBehavior> stream_rewrites;
+  /// StreamTransport::set_behaviors.
+  std::vector<sim::StreamBehavior> stream_faults;
+  /// Network::inject_fault.
+  sim::Fault path_fault = sim::Fault::none();
 };
 
+// The truncation / DoTCP family: children whose signed TXT answer is far
+// too big for a small UDP limit, served by authorities whose stream side
+// misbehaves in the ways the DoTCP measurement studies catalogue. Built
+// only when TestbedOptions::stream_family is set.
 struct StreamCaseSpec {
   std::string label;        // the subdomain, e.g. "tcp-refused"
   std::string description;
-  /// The authority's own UDP payload cap — what forces the TC bit.
-  std::uint16_t server_payload_limit = 512;
-  StreamFault fault = StreamFault::None;
+  /// `config.udp_payload_size` is the authority's UDP cap — what forces
+  /// the TC bit.
+  ChildServing serving;
   /// The resolver-side EDNS advertisement (the buffer-size sweep).
   std::uint16_t resolver_payload = 1'232;
   /// Whether resolution should deliver the signed TXT answer.
@@ -117,37 +127,22 @@ struct StreamCaseSpec {
 /// The stream scenario specs (fixed order, like all_cases()).
 [[nodiscard]] const std::vector<StreamCaseSpec>& stream_cases();
 
-// --- the EDNS-compliance zoo family (RFC 6891) ------------------------
-// Another separate family: children served by authorities that mishandle
-// the OPT pseudo-record itself, exercising the resolver's probe-and-
-// fallback dance and its per-server capability memory (DESIGN.md §5i).
-// Built only when TestbedOptions::edns_family is set.
-
-/// The OPT-layer pathology the child's authoritative server exhibits.
-enum class EdnsFault {
-  None,               // clean EDNS authority (the family's control)
-  DropOptQuery,       // silently drop any UDP query carrying OPT
-  FormerrOnOpt,       // FORMERR (no OPT echoed) to any EDNS query
-  FormerrAlways,      // FORMERR to everything — plain retries included
-  StripOpt,           // answer normally, never echo the OPT back
-  EchoUnknownOption,  // echo an unregistered option back in the OPT
-  Badvers,            // BADVERS even to EDNS version 0
-  BufferLie,          // truncate regardless of the advertised size
-  GarbleOptRdata,     // undecodable garbage in the OPT rdata tail
-  DuplicateOpt,       // two OPT records per response (§6.1.1 allows one)
-};
-
+// The EDNS-compliance zoo family (RFC 6891): children served by
+// authorities that mishandle the OPT pseudo-record itself, exercising the
+// resolver's probe-and-fallback dance and its per-server capability
+// memory (DESIGN.md §5i). Built only when TestbedOptions::edns_family is
+// set.
 struct EdnsCaseSpec {
   std::string label;  // the subdomain, e.g. "edns-drop"
   std::string description;
-  EdnsFault fault = EdnsFault::None;
+  ChildServing serving;
   /// Signed children make the DNSSEC interaction observable — a degraded
   /// plain-DNS answer has no DO bit and loses its signatures, so a secure
   /// delegation turns the transport pathology into a validation failure.
   /// Unsigned children isolate the transport dance itself.
   bool signed_zone = false;
-  /// Query the oversized TXT RRset instead of the apex A (the BufferLie
-  /// case needs an answer big enough for the spurious truncation to bite).
+  /// Query the oversized TXT RRset instead of the apex A (the buffer-lie
+  /// row needs an answer big enough for the spurious truncation to bite).
   bool query_txt = false;
 };
 

@@ -23,6 +23,16 @@ dns::Rdata aaaa_rdata(std::string_view addr) {
   return dns::AaaaRdata{*dns::Ipv6Address::parse(addr)};
 }
 
+/// A nameserver's address record: AAAA for IPv6 glue, A otherwise.
+void add_address(zone::Zone& zone, const dns::Name& owner,
+                 std::string_view addr, bool aaaa) {
+  if (aaaa) {
+    zone.add(owner, dns::RRType::AAAA, aaaa_rdata(addr));
+  } else {
+    zone.add(owner, dns::RRType::A, a_rdata(addr));
+  }
+}
+
 dns::SoaRdata soa_for(const dns::Name& origin, const dns::Name& mname) {
   dns::SoaRdata soa;
   soa.mname = mname;
@@ -68,6 +78,20 @@ std::vector<dns::DsRdata> ds_for_mode(const dns::Name& child,
   return {ds};
 }
 
+/// A child zone's skeleton: SOA, NS ns1.<child> and that nameserver's
+/// address, then the apex A every child serves.
+std::shared_ptr<zone::Zone> child_skeleton(const dns::Name& child,
+                                           std::string_view glue_addr,
+                                           bool glue_is_aaaa) {
+  const dns::Name child_ns = child.prefixed("ns1").take();
+  auto zone = std::make_shared<zone::Zone>(child);
+  zone->add(child, dns::RRType::SOA, dns::Rdata{soa_for(child, child_ns)});
+  zone->add(child, dns::RRType::NS, dns::NsRdata{child_ns});
+  add_address(*zone, child_ns, glue_addr, glue_is_aaaa);
+  zone->add(child, dns::RRType::A, a_rdata(kChildWebAddr));
+  return zone;
+}
+
 }  // namespace
 
 Testbed::Testbed(std::shared_ptr<sim::Network> network,
@@ -105,27 +129,16 @@ void Testbed::build_hierarchy() {
   int child_index = 0;
   for (const auto& spec : all_cases()) {
     ++child_index;
-    const dns::Name child = child_origin(spec);
-    const dns::Name child_ns = child.prefixed("ns1").take();
-    const std::string default_addr =
-        "93.184.218." + std::to_string(child_index);
+    const dns::Name child = child_origin(spec.label);
     const std::string glue_addr =
-        spec.glue_address.empty() ? default_addr : spec.glue_address;
-
-    // Child zone contents.
-    auto child_zone = std::make_shared<zone::Zone>(child);
-    child_zone->add(child, dns::RRType::SOA,
-                    dns::Rdata{soa_for(child, child_ns)});
-    child_zone->add(child, dns::RRType::NS, dns::NsRdata{child_ns});
-    child_zone->add(child_ns,
-                    spec.glue_is_aaaa ? dns::RRType::AAAA : dns::RRType::A,
-                    spec.glue_is_aaaa ? aaaa_rdata(glue_addr)
-                                      : a_rdata(glue_addr));
-    child_zone->add(child, dns::RRType::A, a_rdata(kChildWebAddr));
+        spec.glue_address.empty()
+            ? "93.184.218." + std::to_string(child_index)
+            : spec.glue_address;
+    auto child_zone = child_skeleton(child, glue_addr, spec.glue_is_aaaa);
     child_zone->add(child, dns::RRType::TXT,
                     dns::TxtRdata{{"testbed case: " + spec.label}});
 
-    zone::ZoneKeys child_keys;
+    std::vector<dns::DsRdata> ds;
     if (spec.signed_zone) {
       // For the unassigned/reserved-ZSK cases the KSK stays on a normal
       // algorithm (the DS must stay actionable); only the ZSK is odd.
@@ -135,6 +148,7 @@ void Testbed::build_hierarchy() {
           algo_status == dnssec::AlgorithmStatus::Unassigned ||
           algo_status == dnssec::AlgorithmStatus::Reserved;
       const std::uint8_t ksk_algo = zsk_only_odd ? 8 : spec.algorithm;
+      zone::ZoneKeys child_keys;
       child_keys.ksk = dnssec::make_ksk(child, ksk_algo);
       child_keys.zsk = dnssec::make_zsk(child, spec.algorithm);
 
@@ -142,37 +156,29 @@ void Testbed::build_hierarchy() {
       policy.nsec3_iterations = spec.nsec3_iterations;
       zone::sign_zone(*child_zone, child_keys, policy);
       apply_mutation(*child_zone, child_keys, policy, spec.mutation);
+      ds = ds_for_mode(child, child_keys, spec.ds_mode);
     }
-
-    // Parent-side records.
-    base_zone->add(child, dns::RRType::NS, dns::NsRdata{child_ns});
-    base_zone->add(child_ns,
-                   spec.glue_is_aaaa ? dns::RRType::AAAA : dns::RRType::A,
-                   spec.glue_is_aaaa ? aaaa_rdata(glue_addr)
-                                     : a_rdata(glue_addr));
-    if (spec.signed_zone) {
-      for (const auto& ds : ds_for_mode(child, child_keys, spec.ds_mode)) {
-        base_zone->add(child, dns::RRType::DS, dns::Rdata{ds});
-      }
-    }
-
-    // Attach the child's server when its address can receive packets.
-    const auto child_addr = sim::NodeAddress::of(glue_addr);
-    if (child_addr.is_routable()) {
-      server::ServerConfig config;
-      config.acl = spec.acl;
-      auto server = std::make_shared<server::AuthServer>(config);
-      server->add_zone(child_zone);
-      network_->attach(child_addr, server->endpoint());
-      network_->stream().listen(child_addr, server->stream_endpoint());
-      servers_.push_back(std::move(server));
-    }
-    child_zones_.emplace(spec.label, std::move(child_zone));
-    child_addresses_.emplace(spec.label, child_addr);
+    add_child(*base_zone, spec.label, std::move(child_zone), glue_addr,
+              spec.glue_is_aaaa, ds, {.config = {.acl = spec.acl}});
   }
 
-  if (options_.stream_family) build_stream_family(*base_zone);
-  if (options_.edns_family) build_edns_family(*base_zone);
+  // --- the scenario families ---------------------------------------------
+  if (options_.stream_family) {
+    int index = 0;
+    for (const auto& spec : stream_cases()) {
+      add_family_child(*base_zone, spec.label,
+                       "93.184.219." + std::to_string(++index), spec.serving,
+                       /*signed_zone=*/true);
+    }
+  }
+  if (options_.edns_family) {
+    int index = 0;
+    for (const auto& spec : edns_cases()) {
+      add_family_child(*base_zone, spec.label,
+                       "93.184.220." + std::to_string(++index), spec.serving,
+                       spec.signed_zone);
+    }
+  }
 
   zone::sign_zone(*base_zone, base_keys, {});
 
@@ -201,198 +207,89 @@ void Testbed::build_hierarchy() {
   zone::sign_zone(*root_zone, root_keys, {});
 
   // --- servers ---------------------------------------------------------
-  const auto attach = [&](std::string_view addr,
-                          std::shared_ptr<const zone::Zone> zone) {
-    auto server = std::make_shared<server::AuthServer>();
-    server->add_zone(std::move(zone));
-    network_->attach(sim::NodeAddress::of(addr), server->endpoint());
-    network_->stream().listen(sim::NodeAddress::of(addr),
-                              server->stream_endpoint());
-    servers_.push_back(std::move(server));
-  };
-  attach(kRootServerAddr, root_zone);
-  attach(kComServerAddr, com_zone);
-  attach(kBaseServerAddr, base_zone);
+  serve(sim::NodeAddress::of(kRootServerAddr), root_zone, {});
+  serve(sim::NodeAddress::of(kComServerAddr), com_zone, {});
+  serve(sim::NodeAddress::of(kBaseServerAddr), base_zone, {});
 
   root_servers_ = {sim::NodeAddress::of(kRootServerAddr)};
 }
 
-void Testbed::build_stream_family(zone::Zone& base_zone) {
-  int index = 0;
-  for (const auto& spec : stream_cases()) {
-    ++index;
-    const dns::Name child = base_domain_.prefixed(spec.label).take();
-    const dns::Name child_ns = child.prefixed("ns1").take();
-    const std::string glue_addr = "93.184.219." + std::to_string(index);
+void Testbed::add_family_child(zone::Zone& base_zone, std::string_view label,
+                               std::string_view glue_addr,
+                               const ChildServing& serving,
+                               bool signed_zone) {
+  // A TXT RRset whose answer (with its signature) runs to roughly 2 KB —
+  // far past 512 and 1232, comfortably under 4096, and larger than the
+  // classic 1472-byte Ethernet-MTU fragment limit frag-drop drops at.
+  const dns::Name child = child_origin(label);
+  auto child_zone = child_skeleton(child, glue_addr, /*glue_is_aaaa=*/false);
+  dns::TxtRdata txt;
+  for (int i = 0; i < 8; ++i) txt.strings.push_back(std::string(200, 'x'));
+  child_zone->add(child, dns::RRType::TXT, txt);
 
-    // A correctly signed zone whose TXT answer (with its signature) runs
-    // to roughly 2 KB — far past 512 and 1232, comfortably under 4096,
-    // and larger than the classic 1472-byte Ethernet-MTU fragment limit
-    // the FragDrop case drops at.
-    auto child_zone = std::make_shared<zone::Zone>(child);
-    child_zone->add(child, dns::RRType::SOA,
-                    dns::Rdata{soa_for(child, child_ns)});
-    child_zone->add(child, dns::RRType::NS, dns::NsRdata{child_ns});
-    child_zone->add(child_ns, dns::RRType::A, a_rdata(glue_addr));
-    child_zone->add(child, dns::RRType::A, a_rdata(kChildWebAddr));
-    dns::TxtRdata txt;
-    for (int i = 0; i < 8; ++i) txt.strings.push_back(std::string(200, 'x'));
-    child_zone->add(child, dns::RRType::TXT, txt);
-
+  // A signed child gets a real DS, so a degraded plain-DNS answer turns
+  // into a validation failure; an unsigned one is an insecure delegation
+  // that isolates the transport dance.
+  std::vector<dns::DsRdata> ds;
+  if (signed_zone) {
     const auto child_keys = zone::make_zone_keys(child);
     zone::sign_zone(*child_zone, child_keys, {});
-
-    // Parent-side records: a healthy, fully secure delegation.
-    base_zone.add(child, dns::RRType::NS, dns::NsRdata{child_ns});
-    base_zone.add(child_ns, dns::RRType::A, a_rdata(glue_addr));
-    for (const auto& ds : zone::ds_records(child, child_keys)) {
-      base_zone.add(child, dns::RRType::DS, dns::Rdata{ds});
-    }
-
-    const auto child_addr = sim::NodeAddress::of(glue_addr);
-    server::ServerConfig config;
-    config.udp_payload_size = spec.server_payload_limit;
-    auto server = std::make_shared<server::AuthServer>(config);
-    server->add_zone(child_zone);
-    network_->attach(child_addr, server->endpoint());
-    network_->stream().listen(child_addr, server->stream_endpoint());
-
-    // The case's stream-side (or path-side) misbehavior.
-    switch (spec.fault) {
-      case StreamFault::None:
-        break;
-      case StreamFault::Refuse:
-        network_->stream().set_behaviors(child_addr,
-                                         {sim::StreamBehavior::refuse()});
-        break;
-      case StreamFault::Stall:
-        network_->stream().set_behaviors(child_addr,
-                                         {sim::StreamBehavior::stall()});
-        break;
-      case StreamFault::MidClose:
-        network_->stream().set_behaviors(child_addr,
-                                         {sim::StreamBehavior::mid_close()});
-        break;
-      case StreamFault::GarbageFrame:
-        network_->stream().set_behaviors(
-            child_addr, {sim::StreamBehavior::garbage_frame()});
-        break;
-      case StreamFault::DifferentAnswer:
-        network_->stream().set_mutator(
-            child_addr, sim::make_byzantine_mutator(
-                            {sim::ByzantineBehavior::different_answer()}, 0));
-        break;
-      case StreamFault::FragDrop:
-        network_->inject_fault(child_addr, sim::Fault::frag_drop());
-        break;
-    }
-
-    servers_.push_back(std::move(server));
-    child_zones_.emplace(spec.label, std::move(child_zone));
-    child_addresses_.emplace(spec.label, child_addr);
+    ds = zone::ds_records(child, child_keys);
   }
+  add_child(base_zone, label, std::move(child_zone), glue_addr,
+            /*glue_is_aaaa=*/false, ds, serving);
 }
 
-void Testbed::build_edns_family(zone::Zone& base_zone) {
-  int index = 0;
-  for (const auto& spec : edns_cases()) {
-    ++index;
-    const dns::Name child = base_domain_.prefixed(spec.label).take();
-    const dns::Name child_ns = child.prefixed("ns1").take();
-    const std::string glue_addr = "93.184.220." + std::to_string(index);
-
-    // Same zone shape as the stream family: an apex A plus a TXT RRset
-    // big enough that the BufferLie case's spurious truncation bites.
-    auto child_zone = std::make_shared<zone::Zone>(child);
-    child_zone->add(child, dns::RRType::SOA,
-                    dns::Rdata{soa_for(child, child_ns)});
-    child_zone->add(child, dns::RRType::NS, dns::NsRdata{child_ns});
-    child_zone->add(child_ns, dns::RRType::A, a_rdata(glue_addr));
-    child_zone->add(child, dns::RRType::A, a_rdata(kChildWebAddr));
-    dns::TxtRdata txt;
-    for (int i = 0; i < 8; ++i) txt.strings.push_back(std::string(200, 'x'));
-    child_zone->add(child, dns::RRType::TXT, txt);
-
-    // Parent-side records. A signed child gets a real DS so the degraded
-    // plain-DNS path turns into a validation failure; an unsigned one is
-    // an insecure delegation that isolates the transport dance.
-    base_zone.add(child, dns::RRType::NS, dns::NsRdata{child_ns});
-    base_zone.add(child_ns, dns::RRType::A, a_rdata(glue_addr));
-    if (spec.signed_zone) {
-      const auto child_keys = zone::make_zone_keys(child);
-      zone::sign_zone(*child_zone, child_keys, {});
-      for (const auto& ds : zone::ds_records(child, child_keys)) {
-        base_zone.add(child, dns::RRType::DS, dns::Rdata{ds});
-      }
-    }
-
-    // Each OPT pathology is a Byzantine behavior at the authority's
-    // address, firing on every exchange; only FORMERR-to-everything and
-    // the buffer lie are server configuration.
-    const auto child_addr = sim::NodeAddress::of(glue_addr);
-    server::ServerConfig config;
-    std::optional<sim::ByzantineBehavior> hostile;
-    switch (spec.fault) {
-      case EdnsFault::None:
-        break;
-      case EdnsFault::DropOptQuery:
-        hostile = sim::ByzantineBehavior::edns_drop();
-        break;
-      case EdnsFault::FormerrOnOpt:
-        hostile = sim::ByzantineBehavior::edns_formerr();
-        break;
-      case EdnsFault::FormerrAlways:
-        config.fixed_rcode = dns::RCode::FORMERR;
-        break;
-      case EdnsFault::StripOpt:
-        hostile = sim::ByzantineBehavior::edns_strip_opt();
-        break;
-      case EdnsFault::EchoUnknownOption:
-        hostile = sim::ByzantineBehavior::edns_echo_extra();
-        break;
-      case EdnsFault::Badvers:
-        hostile = sim::ByzantineBehavior::edns_badvers();
-        break;
-      case EdnsFault::BufferLie:
-        // Advertised sizes never go below 512, so the server truncates at
-        // 512 whatever the client offered.
-        config.udp_payload_size = 512;
-        break;
-      case EdnsFault::GarbleOptRdata:
-        hostile = sim::ByzantineBehavior::edns_garble();
-        break;
-      case EdnsFault::DuplicateOpt:
-        hostile = sim::ByzantineBehavior::edns_duplicate_opt();
-        break;
-    }
-    auto server = std::make_shared<server::AuthServer>(config);
-    server->add_zone(child_zone);
-    network_->attach(child_addr, server->endpoint());
-    network_->stream().listen(child_addr, server->stream_endpoint());
-    if (hostile.has_value()) {
-      network_->set_mutator(child_addr,
-                            sim::make_byzantine_mutator({*hostile}, 0));
-      // The EDNS-hostile firewall filters datagrams; a stream reaches the
-      // authority untouched.
-      if (hostile->kind != sim::ByzantineKind::EdnsDrop) {
-        network_->stream().set_mutator(
-            child_addr, sim::make_byzantine_mutator({*hostile}, 0));
-      }
-    }
-
-    servers_.push_back(std::move(server));
-    child_zones_.emplace(spec.label, std::move(child_zone));
-    child_addresses_.emplace(spec.label, child_addr);
+void Testbed::add_child(zone::Zone& base_zone, std::string_view label,
+                        std::shared_ptr<const zone::Zone> child_zone,
+                        std::string_view glue_addr, bool glue_is_aaaa,
+                        const std::vector<dns::DsRdata>& ds,
+                        const ChildServing& serving) {
+  // The parent's side of the delegation.
+  const dns::Name& child = child_zone->origin();
+  const dns::Name child_ns = child.prefixed("ns1").take();
+  base_zone.add(child, dns::RRType::NS, dns::NsRdata{child_ns});
+  add_address(base_zone, child_ns, glue_addr, glue_is_aaaa);
+  for (const auto& record : ds) {
+    base_zone.add(child, dns::RRType::DS, dns::Rdata{record});
   }
+
+  // Serve the child when its address can receive packets.
+  const auto address = sim::NodeAddress::of(glue_addr);
+  if (address.is_routable()) serve(address, child_zone, serving);
+  child_zones_.emplace(label, std::move(child_zone));
+  child_addresses_.emplace(label, address);
+}
+
+void Testbed::serve(const sim::NodeAddress& address,
+                    std::shared_ptr<const zone::Zone> zone,
+                    const ChildServing& serving) {
+  auto server = std::make_shared<server::AuthServer>(serving.config);
+  server->add_zone(std::move(zone));
+  const auto endpoint = server->endpoint();
+  network_->attach(address, endpoint);
+  network_->stream().listen(address, endpoint);
+  // Each transport gets its own compiled mutator (and so its own RNG).
+  const auto rewriter =
+      [](const std::vector<sim::ByzantineBehavior>& behaviors) {
+        return behaviors.empty() ? sim::ResponseMutator{}
+                                 : sim::make_byzantine_mutator(behaviors, 0);
+      };
+  network_->set_mutator(address, rewriter(serving.datagram_rewrites));
+  network_->stream().set_mutator(address, rewriter(serving.stream_rewrites));
+  network_->stream().set_behaviors(address, serving.stream_faults);
+  network_->inject_fault(address, serving.path_fault);
+  servers_.push_back(std::move(server));
+}
+
+const std::vector<StreamCaseSpec>& Testbed::stream_case_specs() const {
+  static const std::vector<StreamCaseSpec> kEmpty;
+  return options_.stream_family ? stream_cases() : kEmpty;
 }
 
 const std::vector<EdnsCaseSpec>& Testbed::edns_case_specs() const {
   static const std::vector<EdnsCaseSpec> kEmpty;
   return options_.edns_family ? edns_cases() : kEmpty;
-}
-
-dns::Name Testbed::edns_query_name(const EdnsCaseSpec& spec) const {
-  return base_domain_.prefixed(spec.label).take();
 }
 
 dns::RRType Testbed::edns_qtype(const EdnsCaseSpec& spec,
@@ -402,21 +299,12 @@ dns::RRType Testbed::edns_qtype(const EdnsCaseSpec& spec,
   return second_contact ? flipped : first;
 }
 
-const std::vector<StreamCaseSpec>& Testbed::stream_case_specs() const {
-  static const std::vector<StreamCaseSpec> kEmpty;
-  return options_.stream_family ? stream_cases() : kEmpty;
-}
-
-dns::Name Testbed::stream_query_name(const StreamCaseSpec& spec) const {
-  return base_domain_.prefixed(spec.label).take();
-}
-
-dns::Name Testbed::child_origin(const CaseSpec& spec) const {
-  return base_domain_.prefixed(spec.label).take();
+dns::Name Testbed::child_origin(std::string_view label) const {
+  return base_domain_.prefixed(label).take();
 }
 
 dns::Name Testbed::query_name(const CaseSpec& spec) const {
-  const dns::Name child = child_origin(spec);
+  const dns::Name child = child_origin(spec.label);
   if (spec.query_nonexistent) return child.prefixed("nonexistent").take();
   return child;
 }

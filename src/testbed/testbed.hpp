@@ -41,8 +41,10 @@ class Testbed {
   /// apex, or a nonexistent child for the NSEC3 group).
   [[nodiscard]] dns::Name query_name(const CaseSpec& spec) const;
 
-  /// Absolute origin of a case's child zone.
-  [[nodiscard]] dns::Name child_origin(const CaseSpec& spec) const;
+  /// Absolute origin of the child zone labelled `label` — also the name
+  /// to query for a scenario-family row (the apex; the oversized record
+  /// set is the TXT RRset there).
+  [[nodiscard]] dns::Name child_origin(std::string_view label) const;
 
   [[nodiscard]] const std::vector<sim::NodeAddress>& root_servers() const {
     return root_servers_;
@@ -62,23 +64,16 @@ class Testbed {
       std::string_view label) const;
 
   /// Network address of a case's authoritative server (its glue), for
-  /// fault injection in chaos tests. Covers the stream family's labels
-  /// too when it was built.
+  /// fault injection in chaos tests. Covers the scenario families' labels
+  /// too when they were built.
   [[nodiscard]] std::optional<sim::NodeAddress> server_address(
       std::string_view label) const;
 
-  // --- the truncation / DoTCP scenario family ------------------------
+  // --- the scenario families -----------------------------------------
   /// Empty unless TestbedOptions::stream_family was set.
   [[nodiscard]] const std::vector<StreamCaseSpec>& stream_case_specs() const;
-  /// The name to query for a stream case (always the child apex; the
-  /// oversized record set is the TXT RRset there).
-  [[nodiscard]] dns::Name stream_query_name(const StreamCaseSpec& spec) const;
-
-  // --- the EDNS-compliance zoo family --------------------------------
   /// Empty unless TestbedOptions::edns_family was set.
   [[nodiscard]] const std::vector<EdnsCaseSpec>& edns_case_specs() const;
-  /// The name to query for an EDNS case (always the child apex).
-  [[nodiscard]] dns::Name edns_query_name(const EdnsCaseSpec& spec) const;
   /// The query type for an EDNS case's first or second contact. The
   /// second contact flips the type so it misses the answer/SERVFAIL
   /// caches and exercises the InfraCache capability memory instead.
@@ -87,8 +82,24 @@ class Testbed {
 
  private:
   void build_hierarchy();
-  void build_stream_family(zone::Zone& base_zone);
-  void build_edns_family(zone::Zone& base_zone);
+  /// A scenario-family child: an apex A and the ~2 KB TXT RRset, signed
+  /// with a real DS when `signed_zone`, added through add_child.
+  void add_family_child(zone::Zone& base_zone, std::string_view label,
+                        std::string_view glue_addr,
+                        const ChildServing& serving, bool signed_zone);
+  /// Publish a child's delegation in the base zone (NS, glue, `ds`), serve
+  /// it from the glue address when that is routable, and record its zone
+  /// and address under `label`.
+  void add_child(zone::Zone& base_zone, std::string_view label,
+                 std::shared_ptr<const zone::Zone> child_zone,
+                 std::string_view glue_addr, bool glue_is_aaaa,
+                 const std::vector<dns::DsRdata>& ds,
+                 const ChildServing& serving);
+  /// Serve `zone` at `address`: one AuthServer endpoint on both
+  /// transports, with `serving`'s hostility installed at the address.
+  void serve(const sim::NodeAddress& address,
+             std::shared_ptr<const zone::Zone> zone,
+             const ChildServing& serving);
 
   std::shared_ptr<sim::Network> network_;
   TestbedOptions options_;

@@ -30,6 +30,13 @@ using resolver::RecursiveResolver;
 using resolver::ResolverOptions;
 using resolver::RetryPolicy;
 
+/// The Cloudflare profile with its retry/backoff policy replaced.
+resolver::ResolverProfile cloudflare_with(const RetryPolicy& retry) {
+  auto profile = resolver::profile_cloudflare();
+  profile.retry = retry;
+  return profile;
+}
+
 class ChaosTest : public ::testing::Test {
  protected:
   ChaosTest()
@@ -39,8 +46,10 @@ class ChaosTest : public ::testing::Test {
     child_addr_ = testbed_.server_address("valid").value();
   }
 
-  RecursiveResolver make(ResolverOptions options = {}) {
-    return testbed_.make_resolver(resolver::profile_cloudflare(), options);
+  RecursiveResolver make(
+      ResolverOptions options = {},
+      resolver::ResolverProfile profile = resolver::profile_cloudflare()) {
+    return testbed_.make_resolver(std::move(profile), options);
   }
 
   static dns::Name valid_name() {
@@ -72,13 +81,11 @@ TEST_F(ChaosTest, ScriptedOutageWalksTheEdeProgression) {
   network_->set_latency({.enabled = true, .base_rtt_ms = 20, .jitter_ms = 8,
                          .seed = 0xc4a05});
 
-  ResolverOptions options;
   RetryPolicy retry;
   retry.initial_timeout_ms = 400;
   retry.backoff_factor = 2.0;
   retry.attempts_per_server = 4;  // enough probes to watch the backoff grow
-  options.retry = retry;
-  auto resolver = make(options);
+  auto resolver = make({}, cloudflare_with(retry));
 
   // Act 1 — healthy: a validated answer lands in the cache.
   const auto healthy = resolver.resolve(valid_name(), dns::RRType::A);
@@ -149,12 +156,9 @@ TEST(ChaosDeterminism, FixedSeedReplaysTheSameStoryline) {
     const auto child = testbed.server_address("valid").value();
     network->set_latency({.enabled = true, .base_rtt_ms = 20, .jitter_ms = 8,
                           .seed = 0xc4a05});
-    ResolverOptions options;
     RetryPolicy retry;
     retry.attempts_per_server = 4;
-    options.retry = retry;
-    auto resolver =
-        testbed.make_resolver(resolver::profile_cloudflare(), options);
+    auto resolver = testbed.make_resolver(cloudflare_with(retry));
 
     std::ostringstream transcript;
     const auto log = [&](const resolver::Outcome& outcome) {
@@ -249,11 +253,9 @@ TEST(ChaosScan, InfraCacheSavesPacketsWithoutChangingTheDiagnosis) {
 TEST_F(ChaosTest, CachedServfailUnderHolddownStillServesStale) {
   network_->set_latency({.enabled = true, .base_rtt_ms = 20, .jitter_ms = 8,
                          .seed = 0xc4a05});
-  ResolverOptions options;
   RetryPolicy retry;
   retry.attempts_per_server = 4;  // enough consecutive timeouts to hold down
-  options.retry = retry;
-  auto resolver = make(options);
+  auto resolver = make({}, cloudflare_with(retry));
 
   // Healthy pass: positive A entry and a negative (NXDOMAIN) entry land.
   const auto missing = dns::Name::of("nope.valid.extended-dns-errors.com");
@@ -304,8 +306,7 @@ TEST_F(ChaosTest, CachedServfailUnderHolddownStillServesStale) {
   // (EDE 13 shape): SERVFAIL, diagnosis replayed, still zero packets.
   ResolverOptions no_stale;
   no_stale.serve_stale = false;
-  no_stale.retry = retry;
-  auto strict = make(no_stale);
+  auto strict = make(no_stale, cloudflare_with(retry));
   strict.cache().put_servfail(valid_name(), dns::RRType::A,
                               {down.findings, now + 30}, now);
   const auto cached_error = strict.resolve(valid_name(), dns::RRType::A);
@@ -342,11 +343,9 @@ TEST_F(ChaosTest, IntermittentQidManglingIsSurvivedByRetry) {
       child_addr_,
       sim::make_byzantine_mutator({sim::ByzantineBehavior::wrong_qid(0.5)},
                                   0xa11ce, stats));
-  ResolverOptions options;
   RetryPolicy retry;
   retry.attempts_per_server = 8;
-  options.retry = retry;
-  auto resolver = make(options);
+  auto resolver = make({}, cloudflare_with(retry));
 
   // Several uncached qtypes, each forcing fresh exchanges with the flaky
   // forger; every one must come back clean.
@@ -474,9 +473,8 @@ TEST(ChaosCoalescing, DuplicateGluelessNsIsCoalescedOnFailure) {
     options.coalesce_queries = coalesce;
     RetryPolicy retry;
     retry.attempts_per_server = 2;
-    options.retry = retry;
     resolver::RecursiveResolver resolver(
-        network, resolver::profile_cloudflare(),
+        network, cloudflare_with(retry),
         {sim::NodeAddress::of("198.41.0.4")}, root_keys.ksk.dnskey, options);
     const auto outcome =
         resolver.resolve(dns::Name::of("broken.test"), dns::RRType::A);

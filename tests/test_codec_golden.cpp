@@ -8,6 +8,10 @@
 // Name, map-based compression); any refactor of the codec data model must
 // keep the stream byte-identical so the paper's Table 4 / §4.2 aggregates
 // are provably unchanged.
+//
+// The two scenario families (truncation/DoTCP and the EDNS zoo) are pinned
+// the same way, with each client response and its findings hashed too:
+// their own suites check only rcodes and EDE codes.
 #include <gtest/gtest.h>
 
 #include "crypto/encoding.hpp"
@@ -16,6 +20,19 @@
 #include "testbed/testbed.hpp"
 
 namespace {
+
+void hash_exchanges(ede::sim::Network& network, ede::crypto::Sha256& stream,
+                    std::uint64_t& packets, std::uint64_t& bytes) {
+  network.set_tap([&](ede::crypto::BytesView query,
+                      const ede::sim::SendResult& result) {
+    ++packets;
+    bytes += query.size() + result.response.size();
+    stream.update(query);
+    const auto status = static_cast<std::uint8_t>(result.status);
+    stream.update({&status, 1});
+    stream.update(result.response);
+  });
+}
 
 // Recorded from the seed codec at PR 3 (see file comment). If this test
 // fails after an intentional wire-format change, re-record by running the
@@ -38,15 +55,7 @@ TEST(CodecGolden, Table4MatrixWireBytesUnchanged) {
   ede::crypto::Sha256 stream;
   std::uint64_t packets = 0;
   std::uint64_t bytes = 0;
-  network->set_tap([&](ede::crypto::BytesView query,
-                       const ede::sim::SendResult& result) {
-    ++packets;
-    bytes += query.size() + result.response.size();
-    stream.update(query);
-    const auto status = static_cast<std::uint8_t>(result.status);
-    stream.update({&status, 1});
-    stream.update(result.response);
-  });
+  hash_exchanges(*network, stream, packets, bytes);
 
   const auto profiles = ede::resolver::all_profiles();
   std::vector<ede::resolver::RecursiveResolver> resolvers;
@@ -65,6 +74,59 @@ TEST(CodecGolden, Table4MatrixWireBytesUnchanged) {
             kExpectedDigest)
       << "codec wire bytes changed (" << packets << " packets, " << bytes
       << " bytes hashed)";
+}
+
+// Recorded before the families' children moved to Testbed::add_child:
+// both families in one testbed, every stream row (TXT at the row's
+// resolver payload) and both contacts of every EDNS row through all seven
+// profiles, once on the instantaneous transport and once with the latency
+// model on.
+constexpr const char* kFamiliesDigest =
+    "e82b1947d8978ec843a739003940905bdf640a5d494594e6e31e10fca5fd28eb";
+
+TEST(CodecGolden, ScenarioFamiliesWireBytesUnchanged) {
+  ede::crypto::Sha256 stream;
+  std::uint64_t packets = 0;
+  std::uint64_t bytes = 0;
+  for (const bool latency : {false, true}) {
+    auto clock = std::make_shared<ede::sim::Clock>();
+    auto network = std::make_shared<ede::sim::Network>(clock);
+    if (latency) network->set_latency({.enabled = true, .seed = 42});
+    const ede::testbed::Testbed testbed(
+        network, {.stream_family = true, .edns_family = true});
+    hash_exchanges(*network, stream, packets, bytes);
+    const auto hash_outcome = [&](const ede::resolver::Outcome& outcome) {
+      stream.update(outcome.response.serialize());
+      for (const auto& finding : outcome.findings)
+        stream.update(ede::crypto::as_bytes(finding.detail));
+    };
+    const auto profiles = ede::resolver::all_profiles();
+    for (const auto& spec : testbed.stream_case_specs()) {
+      for (const auto& profile : profiles) {
+        ede::resolver::ResolverOptions options;
+        options.edns_udp_payload = spec.resolver_payload;
+        auto resolver = testbed.make_resolver(profile, options);
+        hash_outcome(resolver.resolve(testbed.child_origin(spec.label),
+                                      ede::dns::RRType::TXT));
+      }
+    }
+    for (const auto& spec : testbed.edns_case_specs()) {
+      for (const auto& profile : profiles) {
+        auto resolver = testbed.make_resolver(profile);
+        for (const bool second : {false, true}) {
+          hash_outcome(resolver.resolve(
+              testbed.child_origin(spec.label),
+              ede::testbed::Testbed::edns_qtype(spec, second)));
+        }
+      }
+    }
+  }
+
+  const auto digest = stream.finish();
+  EXPECT_EQ(ede::crypto::to_hex({digest.data(), digest.size()}),
+            kFamiliesDigest)
+      << "scenario-family bytes changed (" << packets << " packets, "
+      << bytes << " bytes hashed)";
 }
 
 }  // namespace

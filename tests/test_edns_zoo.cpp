@@ -68,7 +68,7 @@ TEST_P(EdnsRow, MatchesTheCalibratedTable) {
   const auto& expected = ede::testbed::expected_edns()[GetParam()];
   ASSERT_EQ(expected.label, spec.label) << "row tables out of sync";
 
-  const auto qname = w.testbed.edns_query_name(spec);
+  const auto qname = w.testbed.child_origin(spec.label);
   const auto profiles = ede::resolver::all_profiles();
   for (std::size_t p = 0; p < profiles.size(); ++p) {
     // One resolver per (case, vendor): both contacts share its caches,
@@ -125,7 +125,7 @@ TEST(EdnsZoo, TablesAreInSync) {
 TEST(EdnsZoo, CapabilityMemorySplitsTheVendors) {
   auto& w = world();
   const auto& spec = spec_of(w, "edns-drop");
-  const auto qname = w.testbed.edns_query_name(spec);
+  const auto qname = w.testbed.child_origin(spec.label);
 
   // Unbound-style: downgrade after the timeout quota, remember, skip.
   auto unbound = w.testbed.make_resolver(ede::resolver::profile_unbound());
@@ -162,7 +162,7 @@ TEST(EdnsZoo, CapabilityMemorySplitsTheVendors) {
 TEST(EdnsZoo, FormerrDanceIsCountedAndRemembered) {
   auto& w = world();
   const auto& spec = spec_of(w, "edns-formerr");
-  const auto qname = w.testbed.edns_query_name(spec);
+  const auto qname = w.testbed.child_origin(spec.label);
 
   auto resolver = w.testbed.make_resolver(ede::resolver::profile_bind());
   const auto contact = [&](bool second) {
@@ -198,7 +198,7 @@ TEST(EdnsZoo, CapabilityExpiryTriggersReprobe) {
   // A private world: this test moves the clock.
   EdnsWorld w;
   const auto& spec = spec_of(w, "edns-drop");
-  const auto qname = w.testbed.edns_query_name(spec);
+  const auto qname = w.testbed.child_origin(spec.label);
 
   auto resolver = w.testbed.make_resolver(ede::resolver::profile_unbound());
   (void)resolver.resolve(qname, Testbed::edns_qtype(spec, false));
@@ -228,7 +228,7 @@ TEST(EdnsZoo, CapabilityExpiryTriggersReprobe) {
 TEST(EdnsZoo, SiblingVerdictIsHiddenAtAnyWindow) {
   auto& w = world();
   const auto& spec = spec_of(w, "edns-formerr");
-  const auto qname = w.testbed.edns_query_name(spec);
+  const auto qname = w.testbed.child_origin(spec.label);
   for (const std::size_t window : {1, 2}) {
     auto resolver = w.testbed.make_resolver(ede::resolver::profile_bind());
     (void)resolver.resolve_many({{qname, Testbed::edns_qtype(spec, false)},

@@ -109,9 +109,9 @@ class Rfc8198 : public ::testing::Test {
   // EDNS UDP budget, so every authority also listens for the DoTCP
   // fallback.
   void attach(server::AuthServer& server, const char* addr) {
-    network_->attach(sim::NodeAddress::of(addr), server.endpoint());
-    network_->stream().listen(sim::NodeAddress::of(addr),
-                              server.stream_endpoint());
+    const auto endpoint = server.endpoint();
+    network_->attach(sim::NodeAddress::of(addr), endpoint);
+    network_->stream().listen(sim::NodeAddress::of(addr), endpoint);
   }
 
   /// A child zone on its own server; `policy` nullopt leaves it unsigned

@@ -85,10 +85,10 @@ TEST(StubTrace, IsSortedAndInternallyConsistent) {
     }
     EXPECT_LT(query.id, trace.id_count);
     EXPECT_LT(query.client, options.clients);
-    EXPECT_LE(query.arrival_ms + 1, options.duration_ms +
-                                        static_cast<sim::SimTimeMs>(
-                                            options.retry_timeout_ms) *
-                                            (options.max_retries + 1));
+    EXPECT_LE(query.arrival_ms + 1,
+              options.duration_ms +
+                  sim::SimTimeMs{serve::kRetryTimeoutMs} *
+                      (serve::kMaxRetries + 1));
     if (query.typo) ++typos;
     if (query.retry_of != serve::kNoRetry) {
       ++retransmits;
@@ -105,22 +105,22 @@ TEST(StubTrace, IsSortedAndInternallyConsistent) {
 // --- popularity sketch ---------------------------------------------------
 
 TEST(PopularitySketch, ConservativeCountsAndDecay) {
-  serve::PopularitySketch::Options options;
-  options.decay_interval = 2;
-  serve::PopularitySketch sketch(options);
+  serve::PopularitySketch sketch;
   const auto hot = dns::Name::of("hot.example");
+  const auto ticks = [&sketch](int n) {
+    for (int i = 0; i < n; ++i) sketch.tick();
+  };
 
   EXPECT_EQ(sketch.estimate(hot), 0u);
   for (int i = 0; i < 8; ++i) sketch.observe(hot);
   EXPECT_EQ(sketch.estimate(hot), 8u);
   EXPECT_EQ(sketch.estimate(dns::Name::of("cold.example")), 0u);
 
-  sketch.tick();  // 1 of 2: no halving yet
+  ticks(63);  // 63 of 64: no halving yet
   EXPECT_EQ(sketch.estimate(hot), 8u);
-  sketch.tick();  // decay fires
+  ticks(1);  // decay fires
   EXPECT_EQ(sketch.estimate(hot), 4u);
-  sketch.tick();
-  sketch.tick();
+  ticks(64);
   EXPECT_EQ(sketch.estimate(hot), 2u);
 }
 
@@ -264,9 +264,7 @@ TEST(FrontEnd, PrefetchRunsOffTheClientPath) {
   const auto trace = serve::generate_stub_trace(population, options);
 
   auto stack = make_stack(population, /*seed=*/11);
-  serve::FrontEndOptions fe_options;
-  fe_options.prefetch_min_popularity = 2;
-  serve::FrontEnd frontend(*stack.resolver, *stack.network, fe_options);
+  serve::FrontEnd frontend(*stack.resolver, *stack.network, {});
   (void)frontend.serve(trace);
   const auto& stats = frontend.stats();
   EXPECT_GT(stats.prefetch_jobs, 0u);

@@ -17,7 +17,6 @@ namespace {
 using ede::resolver::HardeningStats;
 using ede::resolver::RecursiveResolver;
 using ede::testbed::StreamCaseSpec;
-using ede::testbed::StreamFault;
 using ede::testbed::Testbed;
 
 struct StreamWorld {
@@ -52,7 +51,7 @@ TEST_P(StreamRow, MatchesTheCalibratedTable) {
   const auto& expected = ede::testbed::expected_stream()[GetParam()];
   ASSERT_EQ(expected.label, spec.label) << "row tables out of sync";
 
-  const auto qname = w.testbed.stream_query_name(spec);
+  const auto qname = w.testbed.child_origin(spec.label);
   const auto profiles = ede::resolver::all_profiles();
   for (std::size_t p = 0; p < profiles.size(); ++p) {
     ede::resolver::ResolverOptions options;
@@ -112,7 +111,7 @@ TEST(StreamScenarios, HardeningCountersTellTheTransportStory) {
     options.edns_udp_payload = it->resolver_payload;
     auto resolver =
         w.testbed.make_resolver(ede::resolver::profile_cloudflare(), options);
-    (void)resolver.resolve(w.testbed.stream_query_name(*it),
+    (void)resolver.resolve(w.testbed.child_origin(it->label),
                            ede::dns::RRType::TXT);
     return resolver.hardening_stats();
   };
@@ -160,7 +159,7 @@ TEST(StreamScenarios, EdnsBufferSizeSweep) {
     auto resolver = w.testbed.make_resolver(
         ede::resolver::profile_cloudflare(), options);
     const auto outcome =
-        resolver.resolve(w.testbed.stream_query_name(*it),
+        resolver.resolve(w.testbed.child_origin(it->label),
                          ede::dns::RRType::TXT);
     EXPECT_EQ(outcome.rcode, ede::dns::RCode::NOERROR) << label;
     EXPECT_EQ(outcome.security, ede::dnssec::Security::Secure) << label;

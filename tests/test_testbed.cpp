@@ -97,7 +97,7 @@ TEST_F(TestbedZones, ExpBeforeValidInvertsTheWindow) {
 
 TEST_F(TestbedZones, ZskCorruptionPreservesTheKeyTag) {
   const auto pristine = dnssec::make_zsk(
-      testbed_.child_origin(testbed_.cases()[26]), 8);  // bad-zsk
+      testbed_.child_origin(testbed_.cases()[26].label), 8);  // bad-zsk
   ASSERT_EQ(testbed_.cases()[26].label, "bad-zsk");
   const auto z = zone("bad-zsk");
   const auto* mutated = key(*z, DnskeyRdata::kZskFlags);
@@ -108,7 +108,7 @@ TEST_F(TestbedZones, ZskCorruptionPreservesTheKeyTag) {
 
 TEST_F(TestbedZones, ZoneBitClearingPreservesTheKeyTag) {
   const auto pristine = dnssec::make_zsk(
-      testbed_.child_origin(testbed_.cases()[33]), 8);  // no-dnskey-256
+      testbed_.child_origin(testbed_.cases()[33].label), 8);  // no-dnskey-256
   ASSERT_EQ(testbed_.cases()[33].label, "no-dnskey-256");
   const auto z = zone("no-dnskey-256");
   const auto* mutated = key(*z, 0);  // flags 0 after clearing
@@ -119,7 +119,7 @@ TEST_F(TestbedZones, ZoneBitClearingPreservesTheKeyTag) {
 
 TEST_F(TestbedZones, WrongAlgoFieldPreservesTheKeyTag) {
   const auto pristine = dnssec::make_zsk(
-      testbed_.child_origin(testbed_.cases()[36]), 8);  // bad-zsk-algo
+      testbed_.child_origin(testbed_.cases()[36].label), 8);  // bad-zsk-algo
   ASSERT_EQ(testbed_.cases()[36].label, "bad-zsk-algo");
   const auto z = zone("bad-zsk-algo");
   const auto* mutated = key(*z, DnskeyRdata::kZskFlags);
@@ -184,7 +184,7 @@ TEST_F(TestbedZones, QueryNamesMatchTheCaseSemantics) {
     if (spec.query_nonexistent) {
       EXPECT_EQ(qname.labels().front(), "nonexistent") << spec.label;
     } else {
-      EXPECT_EQ(qname, testbed_.child_origin(spec)) << spec.label;
+      EXPECT_EQ(qname, testbed_.child_origin(spec.label)) << spec.label;
     }
     EXPECT_TRUE(qname.is_subdomain_of(testbed_.base_domain()));
   }

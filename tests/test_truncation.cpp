@@ -119,9 +119,9 @@ TEST_F(Truncation, StreamQueriesAreNeverTruncated) {
   e.dnssec_ok = true;
   e.udp_payload_size = 512;  // tiny advertisement — irrelevant over TCP
   edns::set_edns(query, e);
-  const auto response =
-      server_->handle(query, sim::PacketContext{sim::NodeAddress::of("192.0.2.9")},
-                      /*over_stream=*/true);
+  const auto response = server_->handle(
+      query, sim::PacketContext{.source = sim::NodeAddress::of("192.0.2.9"),
+                                .over_stream = true});
   EXPECT_FALSE(response.header.tc);
   EXPECT_FALSE(response.answer.empty());
   EXPECT_GT(response.serialize().size(), 512u);
@@ -140,7 +140,7 @@ struct FallbackWorld {
     child_server = std::make_shared<server::AuthServer>(config);
     child_server->add_zone(big_zone(child_keys));
     network->attach(child_addr, child_server->endpoint());
-    network->stream().listen(child_addr, child_server->stream_endpoint());
+    network->stream().listen(child_addr, child_server->endpoint());
 
     auto root = std::make_shared<zone::Zone>(Name{});
     dns::SoaRdata soa;
@@ -163,7 +163,7 @@ struct FallbackWorld {
     root_server = std::make_shared<server::AuthServer>();
     root_server->add_zone(root);
     network->attach(root_addr, root_server->endpoint());
-    network->stream().listen(root_addr, root_server->stream_endpoint());
+    network->stream().listen(root_addr, root_server->endpoint());
   }
 
   resolver::RecursiveResolver make_resolver() {

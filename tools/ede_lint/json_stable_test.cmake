@@ -2,6 +2,7 @@
 # runs AND across --jobs values (the lint itself has to satisfy its own D1
 # determinism rule; the thread pool must not reorder findings or the
 # per-family counts). Invoked by ctest, see CMakeLists.txt next to it.
+# Scans the same five directories as the tree gate (tree_lint_test.cmake).
 set(runs "serial;parallel;parallel_again")
 set(jobs_serial 1)
 set(jobs_parallel 4)
@@ -10,6 +11,7 @@ foreach(run IN LISTS runs)
   execute_process(
     COMMAND ${LINT_EXE} --json --jobs ${jobs_${run}} --repo-root ${REPO_ROOT}
             ${REPO_ROOT}/src ${REPO_ROOT}/tests ${REPO_ROOT}/tools
+            ${REPO_ROOT}/bench ${REPO_ROOT}/examples
     OUTPUT_FILE ${WORK_DIR}/lint_${run}.json
     RESULT_VARIABLE status_${run})
   # Exit codes are three-valued: 0 clean and 1 findings both produce a

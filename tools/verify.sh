@@ -5,9 +5,12 @@
 #   2. static analysis: tools/ede_lint fixture self-test, then the
 #      whole-tree scan (determinism / wire-safety / EDE-registry /
 #      hygiene / coroutine-lifetime rules; see DESIGN.md §5e and §5j)
-#      — zero new findings required. Exit codes are
-#      three-valued and this stage tells them apart: 1 means findings,
-#      2 means the lint itself broke (I/O or config-parse error)
+#      over src, tests, tools, bench and examples — the benches and
+#      examples are built and run like the rest, so their include
+#      hygiene is held to the same rules — zero new findings required.
+#      Exit codes are three-valued and this stage tells them apart: 1
+#      means findings, 2 means the lint itself broke (I/O or
+#      config-parse error)
 #   3. hardened-warnings build: a separate tree with EDE_WERROR=ON
 #      (-Wshadow -Wconversion -Wswitch-enum -Werror) must compile clean
 #   4. configure + build a second tree with EDE_SANITIZE=ON
@@ -79,8 +82,8 @@
 #      enforced by stage 2's whole-tree scan and exercised by the
 #      e1_bad_fallback fixture in its self-test.
 #  12. flow-aware lint determinism (DESIGN.md §5j): the full tree scan
-#      again with the C1 family — through the same three-valued
-#      exit handling — plus the --jobs byte-stability contract: JSON
+#      (the same five directories as stage 2) again with the C1 family
+#      — through the same three-valued exit handling — plus the --jobs byte-stability contract: JSON
 #      reports (which carry per-family counts) from --jobs 1 and
 #      --jobs 4 runs must be byte-identical, re-checked here on top of
 #      the EdeLint.JsonByteStable ctest so a verify run proves it even
@@ -107,8 +110,10 @@ echo "=== [2/13] static analysis: ede_lint self-test + whole-tree scan ==="
 # Three-valued exit: 0 clean, 1 new findings, 2 internal/I-O/parse error.
 # Distinguish them so a broken lint never masquerades as "findings".
 lint_status=0
+# bench and examples are scanned too: they are built and run like the
+# rest of the tree, so a missing direct include there is the same defect.
 ./build/tools/ede_lint/ede_lint --repo-root . --config tools/ede_lint.conf \
-  src tests tools || lint_status=$?
+  src tests tools bench examples || lint_status=$?
 case "$lint_status" in
   0) ;;
   1) echo "ede_lint: new findings in the tree" >&2; exit 1 ;;
@@ -251,9 +256,11 @@ echo "=== [12/13] flow-aware lint: tree scan with C1 + --jobs byte-stability ===
 # a verify run exercises it explicitly), then the determinism contract
 # the linter holds itself to: JSON output, including the per-family
 # counts, must be byte-identical between a serial and a parallel run.
+# Same five directories as stage 2, bench and examples included.
 lint_status=0
 ./build/tools/ede_lint/ede_lint --repo-root . --config tools/ede_lint.conf \
-  --json --jobs 1 src tests tools >build/lint_jobs1.json || lint_status=$?
+  --json --jobs 1 src tests tools bench examples >build/lint_jobs1.json \
+  || lint_status=$?
 case "$lint_status" in
   0) ;;
   1) echo "ede_lint: new findings in the tree (see build/lint_jobs1.json)" >&2
@@ -262,7 +269,7 @@ case "$lint_status" in
      exit 1 ;;
 esac
 ./build/tools/ede_lint/ede_lint --repo-root . --config tools/ede_lint.conf \
-  --json --jobs 4 src tests tools >build/lint_jobs4.json
+  --json --jobs 4 src tests tools bench examples >build/lint_jobs4.json
 cmp build/lint_jobs1.json build/lint_jobs4.json \
   || { echo "ede_lint --json differs between --jobs 1 and --jobs 4" >&2; exit 1; }
 ctest --test-dir build --output-on-failure -R 'EdeLint.JsonByteStable'
